@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -54,7 +55,11 @@ def _min_seg_arg(text: str) -> str:
     """Validate --min-seg format early; resolution needs the series length."""
     body = text.strip().removesuffix("%")
     try:
-        float(body) if text.strip().endswith("%") else int(body)
+        if text.strip().endswith("%"):
+            if not math.isfinite(float(body)):
+                raise ValueError(body)
+        else:
+            int(body)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a count or a percentage like '10%', got {text!r}") from None
@@ -90,13 +95,35 @@ def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
     p.set_defaults(transforms=None)
 
 
-def _parse_min_seg(text: str | None, n: int, default: int) -> int:
+# Smallest segment each dating method can work with.
+_MIN_SEG_FLOOR = {"dp": 1, "wbs": 2, "edivisive": 2}
+
+
+def _add_dating(p: argparse.ArgumentParser) -> None:
+    """Options shared by segment and compare."""
+    p.add_argument("--min-seg", type=_min_seg_arg, default=None,
+                   help="minimal segment length, a count or a percentage like '10%%'")
+    p.add_argument("--max-breaks", type=int, default=None)
+    p.add_argument("--level", type=float, default=0.05,
+                   help="significance level for edivisive stopping")
+    p.add_argument("--alpha", type=float, default=1.0,
+                   help="edivisive distance exponent (2 = mean changes only)")
+    p.add_argument("--permutations", type=int, default=199)
+    p.add_argument("--intervals", type=int, default=5000)
+    p.add_argument("--threshold-c", type=float, default=1.3)
+
+
+def _parse_min_seg(text: str | None, n: int, default: int, method: str) -> int:
     if text is None:
         return default
     text = text.strip()
-    if text.endswith("%"):
-        return int(float(text[:-1]) / 100.0 * n)
-    return int(text)
+    value = int(float(text[:-1]) / 100.0 * n) if text.endswith("%") else int(text)
+    floor = _MIN_SEG_FLOOR[method]
+    if value < floor:
+        raise UnsupportedError(
+            f"--min-seg {text} resolves to {value} observations; method {method}"
+            f" needs at least {floor}")
+    return value
 
 
 def _apply_transforms(series: TimeSeries, args) -> tuple[TimeSeries, list[list]]:
@@ -242,7 +269,7 @@ def cmd_test(args) -> int:
 def _run_one_method(series: TimeSeries, method: str, args) -> tuple[Segmentation, dict]:
     n = series.n
     if method == "dp":
-        min_len = _parse_min_seg(args.min_seg, n, default=max(1, int(0.15 * n)))
+        min_len = _parse_min_seg(args.min_seg, n, max(1, int(0.15 * n)), method)
         feasible = n // min_len - 1
         max_m = args.max_breaks if args.max_breaks is not None else min(5, feasible)
         tri = build_rss_triangle(series, min_len)
@@ -250,18 +277,18 @@ def _run_one_method(series: TimeSeries, method: str, args) -> tuple[Segmentation
         config = {"method": "dp", "min_len": min_len, "max_breaks": max_m,
                   "seed": args.seed}
     elif method == "wbs":
-        min_len = _parse_min_seg(args.min_seg, n, default=2)
+        min_len = _parse_min_seg(args.min_seg, n, 2, method)
         cfg = WbsConfig(num_intervals=args.intervals,
                         threshold_constant=args.threshold_c,
                         max_breaks=args.max_breaks, seed=args.seed,
-                        min_len=max(2, min_len))
+                        min_len=min_len)
         seg = wbs_segment(series, cfg)
         config = {"method": "wbs", "num_intervals": cfg.num_intervals,
                   "threshold_constant": cfg.threshold_constant,
                   "max_breaks": cfg.max_breaks, "min_len": cfg.min_len,
                   "seed": cfg.seed}
     elif method == "edivisive":
-        min_size = _parse_min_seg(args.min_seg, n, default=30)
+        min_size = _parse_min_seg(args.min_seg, n, 30, method)
         cfg = EdivConfig(min_size=min_size, alpha=args.alpha,
                          sig_level=args.level,
                          num_permutations=args.permutations,
@@ -291,10 +318,11 @@ def cmd_segment(args) -> int:
     return 0
 
 
-def _nearest_distances(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    if not a or not b:
+def _nearest(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(x, nearest y in b) for each x in a; the earlier y on ties."""
+    if not b:
         return []
-    return [min(abs(x - y) for y in b) for x in a]
+    return [(x, min(b, key=lambda y: abs(x - y))) for x in a]
 
 
 def cmd_compare(args) -> int:
@@ -315,18 +343,17 @@ def cmd_compare(args) -> int:
         for mb in methods[i + 1 :]:
             ba = runs[ma][0].breaks
             bb = runs[mb][0].breaks
-            d_ab = _nearest_distances(ba, bb)
-            d_ba = _nearest_distances(bb, ba)
+            near_ab = _nearest(ba, bb)
+            dists = [abs(x - y) for x, y in near_ab + _nearest(bb, ba)]
             matches = [
                 {"a_label": series.period_label(x), "a_index": x,
-                 "b_label": series.period_label(min(bb, key=lambda y: abs(x - y))),
-                 "b_index": min(bb, key=lambda y: abs(x - y)),
-                 "distance": d}
-                for x, d in zip(ba, d_ab)
-            ] if bb else []
+                 "b_label": series.period_label(y), "b_index": y,
+                 "distance": abs(x - y)}
+                for x, y in near_ab
+            ]
             pairwise.append({
                 "a": ma, "b": mb,
-                "max_nearest_distance": max(d_ab + d_ba) if d_ab + d_ba else None,
+                "max_nearest_distance": max(dists) if dists else None,
                 "matches": matches,
             })
 
@@ -398,29 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg = sub.add_parser("segment", help="date level shifts")
     _add_common(p_seg)
     p_seg.add_argument("--method", choices=["dp", "wbs", "edivisive"], required=True)
-    p_seg.add_argument("--min-seg", type=_min_seg_arg, default=None,
-                       help="minimal segment length, a count or a percentage like '10%%'")
-    p_seg.add_argument("--max-breaks", type=int, default=None)
-    p_seg.add_argument("--level", type=float, default=0.05,
-                       help="significance level for edivisive stopping")
-    p_seg.add_argument("--alpha", type=float, default=1.0,
-                       help="edivisive distance exponent (2 = mean changes only)")
-    p_seg.add_argument("--permutations", type=int, default=199)
-    p_seg.add_argument("--intervals", type=int, default=5000)
-    p_seg.add_argument("--threshold-c", type=float, default=1.3)
+    _add_dating(p_seg)
     p_seg.set_defaults(func=cmd_segment)
 
     p_cmp = sub.add_parser("compare", help="run several dating methods side by side")
     _add_common(p_cmp)
     p_cmp.add_argument("--methods", required=True,
                        help="comma-separated list, e.g. dp,edivisive,wbs")
-    p_cmp.add_argument("--min-seg", type=_min_seg_arg, default=None)
-    p_cmp.add_argument("--max-breaks", type=int, default=None)
-    p_cmp.add_argument("--level", type=float, default=0.05)
-    p_cmp.add_argument("--alpha", type=float, default=1.0)
-    p_cmp.add_argument("--permutations", type=int, default=199)
-    p_cmp.add_argument("--intervals", type=int, default=5000)
-    p_cmp.add_argument("--threshold-c", type=float, default=1.3)
+    _add_dating(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_syn = sub.add_parser("synth", help="generate a benchmark step signal")

@@ -11,11 +11,11 @@ by the Bayesian Information Criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .series import Segmentation, TimeSeries
+from .series import Segmentation, TimeSeries, _clamped_rss, segmentation_from_breaks
 
 __all__ = [
     "RssTriangle",
@@ -26,61 +26,32 @@ __all__ = [
     "bic_value",
 ]
 
-# Above this length the per-segment RSS table is not materialized and
-# every rss(i, j) is computed from cumulants on demand (identical
-# results, bounded memory). Packed storage needs n*(n+1)/2 doubles.
-MATERIALIZE_LIMIT = 4000
-
-_EPS = float(np.finfo(float).eps)
-
-
-def _clamped_rss(qsum, ssum, lens):
-    """qsum - ssum^2/len with rounding residue snapped to exact zero.
-
-    The cumulant difference leaves O(len * eps * qsum) of noise on
-    segments with no variation; anything below that scale is zero.
-    """
-    raw = qsum - ssum * ssum / lens
-    return np.where(raw <= 16.0 * _EPS * lens * qsum, 0.0, raw)
-
 
 @dataclass(frozen=True, eq=False)
 class RssTriangle:
     """Residual sums of squares rss(i, j) for contiguous spans of a series.
 
     rss(i, j) = sum_{k=i..j} y_k^2 - (sum y_k)^2 / (j - i + 1), clamped
-    at zero against rounding. Queries are O(1) either from the packed
-    upper-triangular table or straight from the cumulative sums.
+    at zero against rounding. Queries are O(1) from the cumulative sums,
+    so memory stays O(n).
     """
 
     n: int
     min_len: int
+    values: np.ndarray
     cum: np.ndarray
     cumsq: np.ndarray
-    table: np.ndarray | None = field(default=None, repr=False)
-
-    def _offset(self, i: int) -> int:
-        # Row i (1-based) holds j = i..n contiguously.
-        return (i - 1) * self.n - (i - 1) * (i - 2) // 2
 
     def rss(self, i: int, j: int) -> float:
         """RSS of the span [i..j], 1-based inclusive."""
         if not 1 <= i <= j <= self.n:
             raise ValueError(f"span [{i}, {j}] outside 1..{self.n}")
-        if self.table is not None:
-            return float(self.table[self._offset(i) + (j - i)])
         ssum = self.cum[j] - self.cum[i - 1]
         qsum = self.cumsq[j] - self.cumsq[i - 1]
         return float(_clamped_rss(qsum, ssum, j - i + 1))
 
     def rss_row(self, i: int, j_lo: int, j_hi: int) -> np.ndarray:
         """Vector of rss(i, j) for j = j_lo..j_hi."""
-        if self.table is not None:
-            off = self._offset(i)
-            return self.table[off + (j_lo - i) : off + (j_hi - i) + 1]
-        return self._row_from_cumulants(i, j_lo, j_hi)
-
-    def _row_from_cumulants(self, i: int, j_lo: int, j_hi: int) -> np.ndarray:
         js = np.arange(j_lo, j_hi + 1)
         ssum = self.cum[js] - self.cum[i - 1]
         qsum = self.cumsq[js] - self.cumsq[i - 1]
@@ -93,31 +64,16 @@ class RssTriangle:
         qsum = self.cumsq[self.n] - self.cumsq[starts - 1]
         return _clamped_rss(qsum, ssum, self.n - starts + 1)
 
-    def segment_mean(self, i: int, j: int) -> float:
-        return float((self.cum[j] - self.cum[i - 1]) / (j - i + 1))
 
-
-def build_rss_triangle(s: TimeSeries | np.ndarray, min_len: int,
-                       materialize_limit: int = MATERIALIZE_LIMIT) -> RssTriangle:
-    """Precompute segment RSS cumulants (and, for modest n, the full table)."""
+def build_rss_triangle(s: TimeSeries | np.ndarray, min_len: int) -> RssTriangle:
+    """Precompute the segment RSS cumulants."""
     v = s.values if isinstance(s, TimeSeries) else np.asarray(s, dtype=float)
     n = v.size
     if not 1 <= min_len <= n:
         raise ValueError(f"min_len must be in 1..{n}, got {min_len}")
     cum = np.concatenate(([0.0], np.cumsum(v)))
     cumsq = np.concatenate(([0.0], np.cumsum(v * v)))
-    table = None
-    if n <= materialize_limit:
-        table = np.empty(n * (n + 1) // 2)
-        pos = 0
-        for i in range(1, n + 1):
-            js = np.arange(i, n + 1)
-            ssum = cum[js] - cum[i - 1]
-            qsum = cumsq[js] - cumsq[i - 1]
-            row = _clamped_rss(qsum, ssum, js - i + 1)
-            table[pos : pos + row.size] = row
-            pos += row.size
-    return RssTriangle(n=n, min_len=min_len, cum=cum, cumsq=cumsq, table=table)
+    return RssTriangle(n=n, min_len=min_len, values=v, cum=cum, cumsq=cumsq)
 
 
 def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
@@ -132,12 +88,17 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     tail = tri.rss_tail()
     last_start = n - h + 1
     D[1, 1 : last_start + 1] = tail[:last_start]
-    for j in range(2, jmax + 1):
-        b_hi = n - (j - 1) * h
-        for a in range(1, n - j * h + 2):
-            b_lo = a + h - 1
-            vals = tri.rss_row(a, b_lo, b_hi) + D[j - 1, b_lo + 1 : b_hi + 2]
-            D[j, a] = vals.min()
+    if jmax < 2:
+        return D
+    # Start-outer order computes each row rss(a, a+h-1 .. n-h) once and
+    # serves every layer from it. D[j-1, .] is read only at starts
+    # greater than a, which are final by then.
+    for a in range(n - 2 * h + 1, 0, -1):
+        b_lo = a + h - 1
+        row = tri.rss_row(a, b_lo, n - h)
+        for j in range(2, min(jmax, (n - a + 1) // h) + 1):
+            b_hi = n - (j - 1) * h
+            D[j, a] = (row[: b_hi - b_lo + 1] + D[j - 1, b_lo + 1 : b_hi + 2]).min()
     return D
 
 
@@ -156,24 +117,6 @@ def _reconstruct(tri: RssTriangle, D: np.ndarray, m: int) -> list[int]:
     return breaks
 
 
-def _segmentation(tri: RssTriangle, breaks: list[int],
-                  trace: list[tuple[float, float]] | None = None) -> Segmentation:
-    edges = [0] + breaks + [tri.n]
-    means = [tri.segment_mean(a + 1, b) for a, b in zip(edges, edges[1:])]
-    rss = 0.0
-    for a, b in zip(reversed(edges[:-1]), reversed(edges[1:])):
-        rss = tri.rss(a + 1, b) + rss
-    return Segmentation(
-        n=tri.n,
-        breaks=tuple(breaks),
-        segment_means=tuple(means),
-        rss_total=float(rss),
-        method="dp",
-        min_len=tri.min_len,
-        criterion_trace=None if trace is None else tuple(trace),
-    )
-
-
 def optimal_breaks(tri: RssTriangle, m: int) -> Segmentation:
     """Globally RSS-minimal partition with exactly m breaks.
 
@@ -186,10 +129,8 @@ def optimal_breaks(tri: RssTriangle, m: int) -> Segmentation:
         raise ValueError(
             f"{m} breaks with min_len {tri.min_len} do not fit into {tri.n} observations"
         )
-    if m == 0:
-        return _segmentation(tri, [])
-    D = _suffix_costs(tri, m + 1)
-    return _segmentation(tri, _reconstruct(tri, D, m))
+    breaks = [] if m == 0 else _reconstruct(tri, _suffix_costs(tri, m + 1), m)
+    return segmentation_from_breaks(tri.values, breaks, method="dp", min_len=tri.min_len)
 
 
 def bic_value(n: int, rss: float, m: int) -> float:
@@ -222,7 +163,8 @@ def select_breaks_bic(tri: RssTriangle, max_m: int) -> Segmentation:
     trace = [(float(m), bic_value(tri.n, float(rss_by_m[m]), m)) for m in range(max_m + 1)]
     best_m = min(range(max_m + 1), key=lambda m: (trace[m][1], m))
     breaks = [] if best_m == 0 else _reconstruct(tri, D, best_m)
-    return _segmentation(tri, breaks, trace)
+    return segmentation_from_breaks(tri.values, breaks, method="dp",
+                                    min_len=tri.min_len, trace=trace)
 
 
 def fitted_step(s: TimeSeries, seg: Segmentation) -> TimeSeries:

@@ -340,11 +340,22 @@ class Segmentation:
             m = float(seg.mean())
             if not math.isclose(m, mean, rel_tol=rtol, abs_tol=1e-12):
                 raise ValueError(f"stored mean {mean} for segment [{a}, {b}] differs from {m}")
-        for (a, b), mean in zip(self.bounds(), self.segment_means):
-            seg = v[a - 1 : b]
-            rss += float(((seg - seg.mean()) ** 2).sum())
+            rss += float(((seg - m) ** 2).sum())
         if not math.isclose(rss, self.rss_total, rel_tol=rtol, abs_tol=1e-9):
             raise ValueError(f"stored RSS {self.rss_total} differs from recomputed {rss}")
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _clamped_rss(qsum, ssum, lens):
+    """qsum - ssum^2/len with rounding residue snapped to exact zero.
+
+    The cumulant difference leaves O(len * eps * qsum) of noise on
+    segments with no variation; anything below that scale is zero.
+    """
+    raw = qsum - ssum * ssum / lens
+    return np.where(raw <= 16.0 * _EPS * lens * qsum, 0.0, raw)
 
 
 def segmentation_from_breaks(values: Sequence[float], breaks: Sequence[int],
@@ -353,31 +364,26 @@ def segmentation_from_breaks(values: Sequence[float], breaks: Sequence[int],
                              ) -> Segmentation:
     """Build a Segmentation by computing means and RSS from raw values.
 
-    Means and RSS come from left-to-right cumulative sums so repeated
-    calls are bit-identical.
+    Means and RSS come from left-to-right cumulative sums, and segment
+    RSS values accumulate right to left as in the dynamic program, so
+    repeated calls are bit-identical.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
     cum = np.concatenate(([0.0], np.cumsum(v)))
     cumsq = np.concatenate(([0.0], np.cumsum(v * v)))
-    edges = (0,) + tuple(int(b) for b in sorted(breaks)) + (n,)
-    means = []
+    bs = tuple(int(b) for b in sorted(breaks))
+    edges = np.array((0,) + bs + (n,))
+    ssum = cum[edges[1:]] - cum[edges[:-1]]
+    qsum = cumsq[edges[1:]] - cumsq[edges[:-1]]
+    lens = np.diff(edges)
     rss = 0.0
-    eps = float(np.finfo(float).eps)
-    for a, b in zip(reversed(edges[:-1]), reversed(edges[1:])):
-        ssum = cum[b] - cum[a]
-        qsum = cumsq[b] - cumsq[a]
-        length = b - a
-        means.append(ssum / length)
-        seg_rss = qsum - ssum * ssum / length
-        if seg_rss <= 16.0 * eps * length * qsum:
-            seg_rss = 0.0  # rounding residue on a constant segment
+    for seg_rss in _clamped_rss(qsum, ssum, lens)[::-1]:
         rss = seg_rss + rss
-    means.reverse()
     return Segmentation(
         n=n,
-        breaks=tuple(int(b) for b in sorted(breaks)),
-        segment_means=tuple(float(m) for m in means),
+        breaks=bs,
+        segment_means=tuple(float(m) for m in ssum / lens),
         rss_total=float(rss),
         method=method,
         min_len=min_len,

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, REPO
 
@@ -138,6 +142,23 @@ class TestCmdSegment:
         assert main(["segment", "--method", "dp", "--min-seg", "60", "--max-breaks", "3",
                      NILE]) == 1
 
+    @pytest.mark.parametrize("method,min_seg,resolved", [
+        ("dp", "0", 0), ("dp", "0%", 0), ("dp", "-1", -1),
+        ("wbs", "1", 1), ("wbs", "1%", 1), ("edivisive", "0", 0),
+    ])
+    def test_min_seg_below_method_floor_is_usage_error(self, capsys, method, min_seg,
+                                                       resolved):
+        assert main(["segment", "--method", method, "--min-seg", min_seg, NILE]) == 2
+        err = capsys.readouterr().err
+        assert "--min-seg" in err and f"resolves to {resolved} " in err and method in err
+
+    @pytest.mark.parametrize("min_seg", ["nan%", "inf%", "abc", "1.5"])
+    def test_malformed_min_seg_is_argparse_error(self, capsys, min_seg):
+        with pytest.raises(SystemExit) as err:
+            main(["segment", "--method", "dp", "--min-seg", min_seg, NILE])
+        assert err.value.code == 2
+        assert "--min-seg" in capsys.readouterr().err
+
 
 class TestCmdCompare:
     def test_noiseless_step_agreement(self, tmp_path):
@@ -158,6 +179,10 @@ class TestCmdCompare:
 
     def test_needs_two_methods(self, capsys):
         assert main(["compare", "--methods", "dp", NILE]) == 2
+
+    def test_min_seg_zero_is_usage_error(self, capsys):
+        assert main(["compare", "--methods", "dp,wbs", "--min-seg", "0", NILE]) == 2
+        assert "--min-seg" in capsys.readouterr().err
 
 
 class TestCmdSynth:
@@ -192,6 +217,57 @@ class TestCmdSynth:
     def test_invalid_spec_exits_2(self, capsys):
         assert main(["synth", "--means", "0,5", "--lengths", "20"]) == 2
         assert main(["synth", "--means", "0", "--lengths", "-4"]) == 2
+
+
+_FUZZ_VALUES = ["0", "-1", "1", "3", "15", "0%", "10%", "nan%", "abc", "0.5", "nan"]
+_DATING_FLAGS = ["--max-breaks", "--level", "--alpha", "--threshold-c", "--seed"]
+_FUZZ_FLAGS = {
+    "test": ["--level", "--variance", "--lrv-bandwidth", "--mosum-bandwidth", "--critical"],
+    "segment": _DATING_FLAGS,
+    "compare": _DATING_FLAGS,
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """argv from a small grammar of subcommands, flags and hostile values."""
+    value = st.sampled_from(_FUZZ_VALUES)
+    command = draw(st.sampled_from(["test", "segment", "compare", "bogus"]))
+    argv = [command]
+    if command == "test":
+        argv += ["--method", draw(st.sampled_from(["ols-cusum", "rec-cusum", "mosum"]))]
+    elif command == "segment":
+        argv += ["--method", draw(st.sampled_from(["dp", "wbs", "edivisive"]))]
+    elif command == "compare":
+        argv += ["--methods", draw(st.sampled_from(["dp,wbs", "dp,edivisive", "wbs,edivisive",
+                                                    "dp,dp", "dp", "dp,x"]))]
+    if command in ("segment", "compare"):
+        # Small caps keep each run to milliseconds.
+        argv += ["--permutations", draw(st.sampled_from(["-1", "0", "9"])),
+                 "--intervals", draw(st.sampled_from(["-1", "0", "50"]))]
+        min_seg = draw(st.sampled_from([None, "0", "0%", "-1", "1", "15", "10%", "nan%", "abc"]))
+        if min_seg is not None:
+            argv += ["--min-seg", min_seg]
+    for flag in _FUZZ_FLAGS.get(command, []):
+        if draw(st.booleans()):
+            argv += [flag, draw(value)]
+    if draw(st.booleans()):
+        argv.append("--log")
+    argv.append(draw(st.sampled_from([NILE, str(FIXTURES / "no-such.csv")])))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_argv())
+def test_fuzzed_argv_keeps_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 class TestProcessLevelContract:

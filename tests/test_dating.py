@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_breaks
 
 import stepscan as ss
-from stepscan.dating import bic_value
+from stepscan.dating import _suffix_costs, bic_value
 
 
 def annual(values):
@@ -43,16 +43,14 @@ class TestRssTriangle:
             direct = float(((seg - seg.mean()) ** 2).sum())
             assert tri.rss(i, j) == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
-    def test_materialized_and_lazy_agree(self):
+    def test_rows_equal_scalar_queries(self):
         rng = np.random.default_rng(2)
-        v = rng.normal(size=40)
-        full = ss.build_rss_triangle(annual(v), 3)
-        lazy = ss.build_rss_triangle(annual(v), 3, materialize_limit=10)
-        assert lazy.table is None and full.table is not None
+        v = np.concatenate([rng.normal(size=30), np.full(10, 7.0)]) * 1e3
+        tri = ss.build_rss_triangle(annual(v), 3)
         for i in range(1, 41):
-            row_a = full.rss_row(i, i, 40)
-            row_b = lazy.rss_row(i, i, 40)
-            np.testing.assert_array_equal(row_a, row_b)
+            row = tri.rss_row(i, i, 40)
+            scalars = np.array([tri.rss(i, j) for j in range(i, 41)])
+            np.testing.assert_array_equal(row, scalars)
 
     def test_min_len_validation(self):
         with pytest.raises(ValueError):
@@ -120,6 +118,41 @@ class TestOptimalBreaks:
         s2 = ss.optimal_breaks(tri2, 2)
         assert s1.breaks == s2.breaks
         assert s2.rss_total == pytest.approx(c * c * s1.rss_total, rel=1e-9, abs=1e-9)
+
+
+def layer_outer_suffix_costs(tri, jmax):
+    """Reference Bellman table: layer j outside, start a inside.
+
+    Each (j, a) cell recomputes its RSS row from the cumulants.
+    """
+    n, h = tri.n, tri.min_len
+    D = np.full((jmax + 1, n + 2), np.inf)
+    D[1, 1 : n - h + 2] = tri.rss_tail()[: n - h + 1]
+    for j in range(2, jmax + 1):
+        b_hi = n - (j - 1) * h
+        for a in range(1, n - j * h + 2):
+            b_lo = a + h - 1
+            vals = tri.rss_row(a, b_lo, b_hi) + D[j - 1, b_lo + 1 : b_hi + 2]
+            D[j, a] = vals.min()
+    return D
+
+
+class TestSuffixCosts:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_layer_outer_loop(self, data):
+        n = data.draw(st.integers(2, 60))
+        level = st.one_of(st.integers(-3, 3).map(float),
+                          st.floats(-1e7, 1e7, allow_nan=False, allow_infinity=False))
+        runs = data.draw(st.lists(st.tuples(level, st.integers(1, 12)), min_size=1))
+        v = np.array([x for x, k in runs for _ in range(k)] * n)[:n]
+        if data.draw(st.booleans()):
+            v = v + data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
+        v = v * data.draw(st.sampled_from([1.0, 1e-6, 1e6]))
+        h = data.draw(st.integers(1, max(1, n // 3)))
+        jmax = data.draw(st.integers(1, n // h))
+        tri = ss.build_rss_triangle(annual(v), h)
+        assert np.array_equal(_suffix_costs(tri, jmax), layer_outer_suffix_costs(tri, jmax))
 
 
 class TestBicSelection:
