@@ -52,6 +52,8 @@ class EdivConfig:
             raise ValueError("sig_level must be in (0, 1)")
         if self.num_permutations < 1:
             raise ValueError("num_permutations must be positive")
+        if self.max_breaks is not None and self.max_breaks < 0:
+            raise ValueError(f"max_breaks must be nonnegative, got {self.max_breaks}")
 
 
 def energy_divergence(x: np.ndarray, y: np.ndarray, alpha: float) -> float:

@@ -37,10 +37,13 @@ class WbsConfig:
     def __post_init__(self) -> None:
         if self.num_intervals < 0:
             raise ValueError("num_intervals must be nonnegative")
-        if self.threshold_constant <= 0.0:
-            raise ValueError("threshold_constant must be positive")
+        if not (math.isfinite(self.threshold_constant) and self.threshold_constant > 0.0):
+            raise ValueError(
+                f"threshold_constant must be finite and positive, got {self.threshold_constant}")
         if self.min_len < 2:
             raise ValueError("min_len must be at least 2")
+        if self.max_breaks is not None and self.max_breaks < 0:
+            raise ValueError(f"max_breaks must be nonnegative, got {self.max_breaks}")
 
 
 def mad_scale(values: np.ndarray) -> float:
@@ -56,34 +59,55 @@ def mad_scale(values: np.ndarray) -> float:
     return mad / (math.sqrt(2.0) * 0.6745)
 
 
-def _scan(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-          los: np.ndarray, his: np.ndarray) -> tuple[int, float, int]:
-    """Strongest weighted CUSUM over all (interval, split) pairs.
+# Pairs per block of the CUSUM scan: about a dozen float arrays of this
+# length are live at once, so the scan's memory stays near 6 MB whatever
+# the series length or the number of intervals.
+_BLOCK_PAIRS = 1 << 16
 
-    cum is the series cumulative sum with a leading zero. For each
-    interval [s..e] the candidate splits b run over [lo..hi]; b is the
-    last index of the left part. Ties go to the smallest b, then the
-    smallest interval start. Returns (b, stat, start).
+
+def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                       los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strongest weighted CUSUM of each interval over its candidate splits.
+
+    cum is the series cumulative sum with a leading zero. For interval i,
+    [starts[i]..ends[i]], the candidate splits b run over
+    [los[i]..his[i]] (nonempty); b is the last index of the left part.
+    Returns the best b (smallest on ties) and its |statistic| per
+    interval. The (interval, split) pairs are laid out end to end and
+    evaluated _BLOCK_PAIRS at a time; an interval cut by a block edge
+    keeps its earlier part's winner unless a later one is strictly larger.
     """
     lens = his - los + 1
-    ids = np.repeat(np.arange(starts.size), lens)
-    offsets = np.cumsum(lens) - lens
-    b = np.arange(int(lens.sum())) - offsets[ids] + los[ids]
-    s = starts[ids]
-    e = ends[ids]
-    n = e - s + 1
-    nl = b - s + 1
-    nr = e - b
-    left = cum[b] - cum[s - 1]
-    right = cum[e] - cum[b]
-    # mean-difference form of the weighted CUSUM; identical to the
-    # two-term definition but exactly zero on constant stretches
-    x = np.sqrt(nl * nr / n) * (left / nl - right / nr)
-    absx = np.abs(x)
-    vmax = float(absx.max())
-    tied = np.flatnonzero(absx == vmax)
-    pick = tied[np.lexsort((s[tied], b[tied]))[0]]
-    return int(b[pick]), vmax, int(s[pick])
+    stops = np.cumsum(lens)
+    firsts = stops - lens
+    best_b = np.zeros(starts.size, dtype=int)
+    best_stat = np.full(starts.size, -np.inf)
+    total = int(stops[-1]) if stops.size else 0
+    for p0 in range(0, total, _BLOCK_PAIRS):
+        p1 = min(p0 + _BLOCK_PAIRS, total)
+        i0 = int(np.searchsorted(stops, p0, side="right"))
+        i1 = int(np.searchsorted(stops, p1 - 1, side="right")) + 1
+        first = np.maximum(firsts[i0:i1], p0)
+        counts = np.minimum(stops[i0:i1], p1) - first
+        heads = first - p0  # where each interval's pairs start in the block
+        s = starts[i0:i1]
+        e = ends[i0:i1]
+        b = np.repeat(los[i0:i1] - firsts[i0:i1], counts) + np.arange(p0, p1)
+        cum_b = cum[b]
+        nl = b - np.repeat(s - 1, counts)
+        nr = np.repeat(e, counts) - b
+        left = cum_b - np.repeat(cum[s - 1], counts)
+        right = np.repeat(cum[e], counts) - cum_b
+        # mean-difference form of the weighted CUSUM; identical to the
+        # two-term definition but exactly zero on constant stretches
+        absx = np.abs(np.sqrt(nl * nr / np.repeat(e - s + 1, counts)) * (left / nl - right / nr))
+        vmax = np.maximum.reduceat(absx, heads)
+        top = np.flatnonzero(absx == np.repeat(vmax, counts))
+        arg = top[np.searchsorted(top, heads)]
+        better = vmax > best_stat[i0:i1]
+        best_stat[i0:i1][better] = vmax[better]
+        best_b[i0:i1][better] = b[arg][better]
+    return best_b, best_stat
 
 
 def interval_cusum(values: np.ndarray, s: int, e: int) -> tuple[int, float]:
@@ -97,10 +121,13 @@ def interval_cusum(values: np.ndarray, s: int, e: int) -> tuple[int, float]:
     v = np.asarray(values, dtype=float)
     if not 1 <= s < e <= v.size:
         raise DataError(f"degenerate interval [{s}, {e}] for {v.size} observations")
+    bad = np.flatnonzero(~np.isfinite(v[:e]))
+    if bad.size:
+        raise DataError(f"non-finite value at position {bad[0] + 1}")
     cum = np.concatenate(([0.0], np.cumsum(v)))
-    b, stat, _ = _scan(cum, np.array([s]), np.array([e]),
-                       np.array([s]), np.array([e - 1]))
-    return b, stat
+    b, stat = _best_per_interval(cum, np.array([s]), np.array([e]),
+                                 np.array([s]), np.array([e - 1]))
+    return int(b[0]), float(stat[0])
 
 
 def _draw_intervals(n: int, count: int, min_len: int,
@@ -135,6 +162,12 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
     below C * sigma * sqrt(2 log T). Breaks keep min_len distance from
     the edges of the segment being split; with max_breaks set, only the
     strongest breaks survive.
+
+    Each drawn interval is scanned once, over all its splits, in blocks
+    of _BLOCK_PAIRS (interval, split) pairs, so memory does not grow
+    with n * num_intervals. A recursion step reuses those results for
+    the intervals the min_len margins of its segment leave whole, and
+    rescans only the clipped intervals and the segment itself.
     """
     v = s.values
     n = s.n
@@ -151,6 +184,8 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
     threshold = max(threshold, stat_floor)
     cum = np.concatenate(([0.0], np.cumsum(v)))
 
+    # each drawn interval's best split over its whole range [s..e-1]
+    full_b, full_stat = _best_per_interval(cum, starts, ends, starts, ends - 1)
     found: list[tuple[int, float]] = []
     stack: list[tuple[int, int]] = [(1, n)]
     while stack:
@@ -160,14 +195,19 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
         if cand_lo > cand_hi:
             continue
         inside = (starts >= lo) & (ends <= hi)
-        seg_s = np.concatenate((starts[inside], [lo]))
-        seg_e = np.concatenate((ends[inside], [hi]))
-        los = np.maximum(seg_s, cand_lo)
-        his = np.minimum(seg_e - 1, cand_hi)
-        ok = los <= his
-        if not np.any(ok):
-            continue
-        b, stat, _ = _scan(cum, seg_s[ok], seg_e[ok], los[ok], his[ok])
+        cached = inside & (starts >= cand_lo) & (ends <= cand_hi + 1)
+        clipped = inside & ~cached
+        # the segment itself is always a candidate; an interval of length
+        # >= 2 * min_len inside [lo, hi] keeps a nonempty clipped range
+        seg_s = np.append(starts[clipped], lo)
+        seg_e = np.append(ends[clipped], hi)
+        bs, stats = _best_per_interval(cum, seg_s, seg_e, np.maximum(seg_s, cand_lo),
+                                       np.minimum(seg_e - 1, cand_hi))
+        bs = np.concatenate((full_b[cached], bs))
+        stats = np.concatenate((full_stat[cached], stats))
+        # largest statistic; ties go to the smallest b
+        stat = float(stats.max())
+        b = int(bs[stats == stat].min())
         if stat > threshold:
             found.append((b, stat))
             stack.append((b + 1, hi))

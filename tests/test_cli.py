@@ -152,6 +152,18 @@ class TestCmdSegment:
         err = capsys.readouterr().err
         assert "--min-seg" in err and f"resolves to {resolved} " in err and method in err
 
+    @pytest.mark.parametrize("method", ["wbs", "edivisive"])
+    def test_negative_max_breaks_exits_1(self, capsys, method):
+        assert main(["segment", "--method", method, "--max-breaks", "-1", NILE]) == 1
+        assert "max_breaks must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "0"])
+    def test_bad_threshold_c_exits_1(self, capsys, c):
+        assert main(["segment", "--method", "wbs", "--threshold-c", c, NILE]) == 1
+        err = capsys.readouterr().err
+        assert "threshold_constant must be finite and positive" in err
+        assert "Out of range" not in err
+
     @pytest.mark.parametrize("min_seg", ["nan%", "inf%", "abc", "1.5"])
     def test_malformed_min_seg_is_argparse_error(self, capsys, min_seg):
         with pytest.raises(SystemExit) as err:

@@ -151,6 +151,10 @@ class TestEDivisive:
         edges = (0,) + seg.breaks + (80,)
         assert all(b - a >= 10 for a, b in zip(edges, edges[1:]))
 
+    def test_negative_max_breaks_rejected(self):
+        with pytest.raises(ValueError, match="max_breaks"):
+            ss.EdivConfig(max_breaks=-1)
+
     def test_too_short_series(self):
         with pytest.raises(ss.DataError):
             ss.e_divisive(ss.TimeSeries([1.0, 2.0], ss.PeriodIndex(1900)),

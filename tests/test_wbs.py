@@ -1,12 +1,101 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepscan as ss
-from stepscan.wbs import _draw_intervals, mad_scale
+import stepscan.wbs
+from stepscan.wbs import _best_per_interval, _draw_intervals, mad_scale
+
+
+def all_pairs_scan(cum, starts, ends, los, his):
+    """Reference scan: every (interval, split) pair materialized at once.
+
+    Ties go to the smallest b, then the smallest interval start.
+    Returns (b, stat, start).
+    """
+    lens = his - los + 1
+    ids = np.repeat(np.arange(starts.size), lens)
+    offsets = np.cumsum(lens) - lens
+    b = np.arange(int(lens.sum())) - offsets[ids] + los[ids]
+    s = starts[ids]
+    e = ends[ids]
+    n = e - s + 1
+    nl = b - s + 1
+    nr = e - b
+    left = cum[b] - cum[s - 1]
+    right = cum[e] - cum[b]
+    x = np.sqrt(nl * nr / n) * (left / nl - right / nr)
+    absx = np.abs(x)
+    vmax = float(absx.max())
+    tied = np.flatnonzero(absx == vmax)
+    pick = tied[np.lexsort((s[tied], b[tied]))[0]]
+    return int(b[pick]), vmax, int(s[pick])
+
+
+def all_pairs_wbs_segment(series, cfg):
+    """Reference WBS: each recursion step rescans every interval inside it."""
+    v = series.values
+    n = series.n
+    rng = np.random.default_rng(cfg.seed)
+    starts, ends = _draw_intervals(n, cfg.num_intervals, cfg.min_len, rng)
+    threshold = cfg.threshold_constant * mad_scale(v) * math.sqrt(2.0 * math.log(n))
+    eps = float(np.finfo(float).eps)
+    threshold = max(threshold, 4.0 * eps * n ** 1.5 * float(np.max(np.abs(v))))
+    cum = np.concatenate(([0.0], np.cumsum(v)))
+    found = []
+    stack = [(1, n)]
+    while stack:
+        lo, hi = stack.pop()
+        cand_lo = lo + cfg.min_len - 1
+        cand_hi = hi - cfg.min_len
+        if cand_lo > cand_hi:
+            continue
+        inside = (starts >= lo) & (ends <= hi)
+        seg_s = np.concatenate((starts[inside], [lo]))
+        seg_e = np.concatenate((ends[inside], [hi]))
+        los = np.maximum(seg_s, cand_lo)
+        his = np.minimum(seg_e - 1, cand_hi)
+        ok = los <= his
+        if not np.any(ok):
+            continue
+        b, stat, _ = all_pairs_scan(cum, seg_s[ok], seg_e[ok], los[ok], his[ok])
+        if stat > threshold:
+            found.append((b, stat))
+            stack.append((b + 1, hi))
+            stack.append((lo, b))
+    if cfg.max_breaks is not None and len(found) > cfg.max_breaks:
+        found.sort(key=lambda t: (-t[1], t[0]))
+        found = found[: cfg.max_breaks]
+    found.sort(key=lambda t: t[0])
+    return ss.segmentation_from_breaks(
+        v, [b for b, _ in found], method="wbs", min_len=cfg.min_len,
+        trace=[(float(b), stat) for b, stat in found],
+    )
+
+
+@st.composite
+def awkward_values(draw, n):
+    """Constant runs of integer or wide-ranging levels, optional noise, odd scales."""
+    level = st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-1e7, 1e7, allow_nan=False, allow_infinity=False))
+    runs = draw(st.lists(st.tuples(level, st.integers(1, 12)), min_size=1))
+    v = np.array([x for x, k in runs for _ in range(k)] * n)[:n]
+    if draw(st.booleans()):
+        v = v + draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
+    return v * draw(st.sampled_from([1.0, 1e-6, 1e6]))
+
+
+# block sizes that cut intervals at many places, and the production one;
+# the recursion test enumerates up to ~40k pairs, too many for size 1
+BLOCKS = st.sampled_from([1, 5, 64, stepscan.wbs._BLOCK_PAIRS])
+COARSER_BLOCKS = st.sampled_from([7, 64, stepscan.wbs._BLOCK_PAIRS])
 
 
 class TestIntervalCusum:
@@ -37,6 +126,45 @@ class TestIntervalCusum:
             ss.interval_cusum(np.arange(5.0), 3, 3)
         with pytest.raises(ss.DataError):
             ss.interval_cusum(np.arange(5.0), 0, 4)
+
+    def test_non_finite_value_in_reach_is_an_error(self):
+        y = np.array([0.0, 1.0, np.nan, 1.0, 0.0, 0.0])
+        with pytest.raises(ss.DataError, match="position 3"):
+            ss.interval_cusum(y, 4, 6)
+        assert ss.interval_cusum(y[::-1], 1, 3)[0] == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_all_pairs_scan_on_random_spans(self, data):
+        n = data.draw(st.integers(2, 80))
+        v = data.draw(awkward_values(n))
+        s = data.draw(st.integers(1, n - 1))
+        e = data.draw(st.integers(s + 1, n))
+        cum = np.concatenate(([0.0], np.cumsum(v)))
+        span = [np.array([x]) for x in (s, e, s, e - 1)]
+        want = all_pairs_scan(cum, *span)[:2]
+        with mock.patch.object(stepscan.wbs, "_BLOCK_PAIRS", data.draw(BLOCKS)):
+            assert ss.interval_cusum(v, s, e) == want
+
+
+class TestBestPerInterval:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_each_interval_matches_all_pairs_scan(self, data):
+        n = data.draw(st.integers(2, 60))
+        cum = np.concatenate(([0.0], np.cumsum(data.draw(awkward_values(n)))))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 20))):
+            s = data.draw(st.integers(1, n - 1))
+            e = data.draw(st.integers(s + 1, n))
+            lo, hi = sorted(data.draw(st.lists(st.integers(s, e - 1), min_size=2, max_size=2)))
+            rows.append((s, e, lo, hi))
+        cols = [np.array(c) for c in zip(*rows)]
+        with mock.patch.object(stepscan.wbs, "_BLOCK_PAIRS", data.draw(BLOCKS)):
+            best_b, best_stat = _best_per_interval(cum, *cols)
+        for i in range(len(rows)):
+            b, stat, _ = all_pairs_scan(cum, *(c[i : i + 1] for c in cols))
+            assert (best_b[i], best_stat[i]) == (b, stat)
 
 
 class TestIntervalSampling:
@@ -143,3 +271,81 @@ class TestWbsSegment:
         with pytest.raises(ss.DataError):
             ss.wbs_segment(ss.TimeSeries([1.0, 2.0, 3.0], ss.PeriodIndex(1900)),
                            ss.WbsConfig(min_len=2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_all_pairs_recursion(self, data):
+        n = data.draw(st.integers(6, 60))
+        series = ss.TimeSeries(data.draw(awkward_values(n)), ss.PeriodIndex(1900))
+        cfg = ss.WbsConfig(
+            # 10**6 enumerates every admissible interval
+            num_intervals=data.draw(st.one_of(st.integers(0, 40), st.just(10**6))),
+            threshold_constant=data.draw(st.sampled_from([0.2, 0.6, 1.3])),
+            max_breaks=data.draw(st.one_of(st.none(), st.integers(0, 4))),
+            seed=data.draw(st.integers(0, 3)),
+            min_len=data.draw(st.integers(2, n // 3)),
+        )
+        with mock.patch.object(stepscan.wbs, "_BLOCK_PAIRS", data.draw(COARSER_BLOCKS)):
+            got = ss.wbs_segment(series, cfg)
+        want = all_pairs_wbs_segment(series, cfg)
+        assert got.breaks == want.breaks
+        assert got.criterion_trace == want.criterion_trace
+        assert got.segment_means == want.segment_means
+
+    def test_ties_across_intervals_go_to_the_smallest_split(self):
+        # two drawn intervals tie at b=2 and b=4; splitting at 4 first
+        # would record a different statistic for 4
+        sig = ss.TimeSeries([2.0, 1.0, 0.0, 0.0, 1.0, 2.0, 1.0, 2.0], ss.PeriodIndex(1900))
+        cfg = ss.WbsConfig(num_intervals=5, threshold_constant=0.3, seed=1)
+        seg = ss.wbs_segment(sig, cfg)
+        assert seg.criterion_trace == all_pairs_wbs_segment(sig, cfg).criterion_trace
+        assert seg.criterion_trace == ((2.0, 1.5), (4.0, 3 ** 0.5))
+
+    def test_intervals_clipped_by_the_margin_are_rescanned(self):
+        # an interval ending one short of the right margin would otherwise
+        # offer its cached split at b=5, leaving a 1-point last segment
+        sig = ss.TimeSeries([-0.3, 0.4, 1.0, -0.1, 1.4, -0.7], ss.PeriodIndex(1900))
+        cfg = ss.WbsConfig(num_intervals=10**6, threshold_constant=0.3, seed=2)
+        seg = ss.wbs_segment(sig, cfg)
+        want = all_pairs_wbs_segment(sig, cfg)
+        assert (seg.breaks, seg.criterion_trace) == (want.breaks, want.criterion_trace)
+
+    def test_bit_identical_to_all_pairs_recursion_on_a_long_series(self):
+        sig, _ = ss.make_step_signal([0, 2, -1, 1, 3, 0], [500] * 6, sigma=1.0, seed=6)
+        for cfg in (ss.WbsConfig(num_intervals=300, seed=1),
+                    ss.WbsConfig(num_intervals=300, seed=2, min_len=40,
+                                 threshold_constant=0.5)):
+            got = ss.wbs_segment(sig, cfg)
+            want = all_pairs_wbs_segment(sig, cfg)
+            assert got.breaks == want.breaks
+            assert got.criterion_trace == want.criterion_trace
+            assert got.segment_means == want.segment_means
+
+    def test_peak_memory_does_not_grow_with_pairs(self):
+        # about 4 million (interval, split) pairs; the all-pairs scan
+        # needed about 300 MB here
+        sig, _ = ss.make_step_signal([0, 2, -1, 1], [1500] * 4, sigma=1.0, seed=2)
+        tracemalloc.start()
+        try:
+            seg = ss.wbs_segment(sig, ss.WbsConfig(num_intervals=2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seg.num_breaks == 3
+        assert peak < 32 << 20
+
+
+class TestWbsConfig:
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_threshold_constant_must_be_finite_and_positive(self, c):
+        with pytest.raises(ValueError, match="threshold_constant"):
+            ss.WbsConfig(threshold_constant=c)
+
+    @pytest.mark.parametrize("m", [-1, -2])
+    def test_negative_max_breaks_rejected(self, m):
+        with pytest.raises(ValueError, match="max_breaks"):
+            ss.WbsConfig(max_breaks=m)
+
+    def test_zero_max_breaks_keeps_no_break(self):
+        sig, _ = ss.make_step_signal([0, 5], [30, 30], sigma=0.0)
+        assert ss.wbs_segment(sig, ss.WbsConfig(max_breaks=0)).breaks == ()
