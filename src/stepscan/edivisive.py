@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DataError, Segmentation, TimeSeries, segmentation_from_breaks
+from .series import _EPS, DataError, Segmentation, TimeSeries, segmentation_from_breaks
+
+# Rows of the distance triangle summed per block at alpha < 2.
+_BLOCK_ROWS = 128
 
 __all__ = [
     "EdivConfig",
@@ -81,12 +84,20 @@ def sample_divergence(x: np.ndarray, y: np.ndarray, alpha: float) -> float:
     return n * m / (n + m) * energy_divergence(x, y, alpha)
 
 
-def _split_divergences(values: np.ndarray, alpha: float,
-                       min_size: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _split_divergences(values: np.ndarray, alpha: float, min_size: int,
+                       ) -> tuple[np.ndarray, np.ndarray, float | None] | None:
     """Q for every admissible split of values; None when none exists.
 
-    Returns (bs, q) where split b puts values[:b] left and values[b:]
-    right, both sides at least min_size long.
+    Returns (bs, q, total) where split b puts values[:b] left and
+    values[b:] right, both sides at least min_size long, and total is
+    the sum of |v_i - v_j|^alpha over all ordered pairs (the scale of
+    the rounding error in q; it does not change under permutation).
+    total is None at alpha = 2, whose branch forms no pairwise sums.
+
+    At alpha < 2 the within and between sums need only two row sums of
+    the strictly lower distance triangle: low[i] = sum_{j<i} d[i, j] and
+    col[j] = sum_{i>j} d[i, j]. They are accumulated over blocks of
+    _BLOCK_ROWS rows, so memory stays O(_BLOCK_ROWS * n).
     """
     v = np.asarray(values, dtype=float)
     n = v.size
@@ -100,18 +111,26 @@ def _split_divergences(values: np.ndarray, alpha: float,
         cum = np.concatenate(([0.0], np.cumsum(v)))
         delta = cum[bs] / nl - (cum[n] - cum[bs]) / nr
         energy = 2.0 * delta * delta
+        total = None
     else:
-        d = np.abs(v[:, None] - v[None, :]) ** alpha
-        p = np.zeros((n + 1, n + 1))
-        p[1:, 1:] = d.cumsum(axis=0).cumsum(axis=1)
-        total = p[n, n]
-        corner = p[bs, bs]
-        edge = p[bs, n]
+        low = np.empty(n)
+        col = np.zeros(n)
+        for a in range(0, n, _BLOCK_ROWS):
+            z = min(a + _BLOCK_ROWS, n)
+            d = np.abs(v[a:z, None] - v[None, :z]) ** alpha
+            d[:, a:] *= np.tri(z - a, k=-1)
+            low[a:z] = d.sum(axis=1)
+            col[:z] += d.sum(axis=0)
+        cum_low = np.cumsum(low)
+        cum_all = np.cumsum(low + col)
+        total = float(cum_all[-1])
+        corner = 2.0 * cum_low[bs - 1]
+        edge = cum_all[bs - 1]
         between = edge - corner
         within_l = corner
         within_r = total - 2.0 * edge + corner
         energy = 2.0 * between / (nl * nr) - within_l / (nl * nl) - within_r / (nr * nr)
-    return bs, nl * nr / n * energy
+    return bs, nl * nr / n * energy, total
 
 
 def best_split(values: np.ndarray, cfg: EdivConfig) -> tuple[int, float] | None:
@@ -122,7 +141,7 @@ def best_split(values: np.ndarray, cfg: EdivConfig) -> tuple[int, float] | None:
     out = _split_divergences(np.asarray(values, dtype=float), cfg.alpha, cfg.min_size)
     if out is None:
         return None
-    bs, q = out
+    bs, q, _ = out
     k = int(np.argmax(q))  # first maximum = smallest b
     return int(bs[k]), float(q[k])
 
@@ -134,23 +153,28 @@ def permutation_test(values: np.ndarray, b: int, cfg: EdivConfig,
     Each replicate shuffles the segment's values with a generator
     derived from (seed, seed_key, replicate) and recomputes the maximal
     Q over admissible splits; ties with the observed Q count against the
-    split. p = (1 + #{Q*_r >= Q_obs}) / (R + 1).
+    split. A tie is judged up to the rounding of the sums, n * eps * T
+    with T the segment's total pairwise distance, so it does not hinge
+    on summation order: p = (1 + #{Q*_r >= Q_obs - n eps T}) / (R + 1).
     """
     v = np.asarray(values, dtype=float)
     out = _split_divergences(v, cfg.alpha, cfg.min_size)
     if out is None:
         raise DataError(f"segment of {v.size} observations admits no split")
-    bs, q = out
+    bs, q, total = out
+    if total is None:  # alpha = 2: sum of (v_i - v_j)^2 = 2n sum (v_i - mean)^2
+        dev = v - v.mean()
+        total = 2.0 * v.size * float(dev @ dev)
     where = np.flatnonzero(bs == b)
     if where.size == 0:
         raise ValueError(f"split {b} violates min_size {cfg.min_size}")
-    q_obs = float(q[where[0]])
+    q_tie = float(q[where[0]]) - v.size * _EPS * total
     hits = 0
     for r in range(cfg.num_permutations):
         rng = np.random.default_rng([cfg.seed, seed_key, r])
         perm = rng.permutation(v)
-        _, q_perm = _split_divergences(perm, cfg.alpha, cfg.min_size)
-        if float(q_perm.max()) >= q_obs:
+        _, q_perm, _ = _split_divergences(perm, cfg.alpha, cfg.min_size)
+        if float(q_perm.max()) >= q_tie:
             hits += 1
     return (1 + hits) / (cfg.num_permutations + 1)
 

@@ -142,8 +142,9 @@ Index = Union[PeriodIndex, DateIndex]
 class TimeSeries:
     """Ordered finite real observations with a time index.
 
-    values must be finite (no missing values inside the span) and length
-    at least 1; a :class:`DateIndex` must carry one stamp per value.
+    values must be finite (no missing values inside the span), small
+    enough that 4 n sum(y^2) is finite, and length at least 1; a
+    :class:`DateIndex` must carry one stamp per value.
     """
 
     values: np.ndarray
@@ -159,6 +160,15 @@ class TimeSeries:
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise DataError(f"non-finite value at position {bad[0] + 1}")
+        # 4 n sum(y^2) bounds every cumulant product, squared CUSUM and
+        # pairwise-distance total the analyses form.
+        with np.errstate(over="ignore"):
+            scale = 4.0 * arr.size * float(arr @ arr)
+        if not math.isfinite(scale):
+            raise DataError(
+                f"values too large to analyse: the sum of squares of {arr.size} values"
+                f" (largest magnitude {np.abs(arr).max():g}) overflows"
+            )
         if isinstance(self.index, DateIndex) and len(self.index.dates) != arr.size:
             raise DataError(
                 f"index has {len(self.index.dates)} stamps for {arr.size} values"

@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import stepscan as ss
 
@@ -15,6 +16,18 @@ FIXTURES = REPO / "fixtures"
 # The whole suite is reproducible run to run, property tests included.
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+@st.composite
+def awkward_values(draw, n):
+    """Constant runs of integer or wide-ranging levels, optional noise, odd scales."""
+    level = st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-1e7, 1e7, allow_nan=False, allow_infinity=False))
+    runs = draw(st.lists(st.tuples(level, st.integers(1, 12)), min_size=1))
+    v = np.array([x for x, k in runs for _ in range(k)] * n)[:n]
+    if draw(st.booleans()):
+        v = v + draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
+    return v * draw(st.sampled_from([1.0, 1e-6, 1e6]))
 
 
 def brute_force_breaks(values, m, min_len, rss=None):

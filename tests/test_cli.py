@@ -295,3 +295,22 @@ class TestProcessLevelContract:
         usage = subprocess.run([sys.executable, "-m", "stepscan.cli", "frobnicate"],
                                capture_output=True, text=True, cwd=str(REPO))
         assert usage.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["segment", "--method", "dp"],
+        ["segment", "--method", "wbs"],
+        ["segment", "--method", "edivisive", "--min-seg", "5"],
+        ["test", "--method", "ols-cusum"],
+    ])
+    def test_overflowing_values_exit_1_with_one_line(self, tmp_path, argv):
+        # finite values whose squares overflow used to end in an IndexError
+        # traceback (wbs) or in RuntimeWarnings and a JSON emit error
+        path = tmp_path / "huge.csv"
+        rows = ["DATE,value"] + [f"{1900 + i}-01-01,{(-1) ** i * 1e308}" for i in range(20)]
+        path.write_text("\n".join(rows) + "\n")
+        proc = subprocess.run([sys.executable, "-m", "stepscan.cli", *argv, str(path)],
+                              capture_output=True, text=True, cwd=str(REPO))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("stepscan: values too large"), proc.stderr

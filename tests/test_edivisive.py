@@ -1,13 +1,77 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import awkward_values
+
 import stepscan as ss
-from stepscan.edivisive import best_split, permutation_test
+import stepscan.edivisive
+from stepscan.edivisive import _split_divergences, best_split, permutation_test
+
+EPS = np.finfo(float).eps
+
+
+def prefix_matrix_split_divergences(values, alpha, min_size):
+    """Reference at alpha < 2: Q from the (n+1)^2 prefix sum of all distances.
+
+    The kernel e-divisive used before the blocked row sums; it also
+    returns the total pairwise distance p[n, n] that the tie rule needs.
+    """
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    if n < 2 * min_size:
+        return None
+    bs = np.arange(min_size, n - min_size + 1)
+    nl = bs.astype(float)
+    nr = n - nl
+    d = np.abs(v[:, None] - v[None, :]) ** alpha
+    p = np.zeros((n + 1, n + 1))
+    p[1:, 1:] = d.cumsum(axis=0).cumsum(axis=1)
+    total = p[n, n]
+    corner = p[bs, bs]
+    edge = p[bs, n]
+    between = edge - corner
+    within_l = corner
+    within_r = total - 2.0 * edge + corner
+    energy = 2.0 * between / (nl * nr) - within_l / (nl * nl) - within_r / (nr * nr)
+    return bs, nl * nr / n * energy, float(total)
+
+
+@st.composite
+def bumpy_values(draw, n):
+    """A constant level with a few bumps: permuted copies often tie exactly."""
+    v = np.full(n, draw(st.sampled_from([0.0, 0.7, -2.3])))
+    for at in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+        v[at] += draw(st.sampled_from([0.1, 0.3, 1.1, -0.7]))
+    return v * draw(st.sampled_from([1.0, 1e-6, 1e6]))
+
+
+def exact_max_q(values, alpha, min_size):
+    """Largest Q over admissible splits in exact rational arithmetic (alpha 1 or 2)."""
+    x = [Fraction(float(a)) for a in values]
+    n = len(x)
+    power = int(alpha)  # a float power would round
+
+    def dist(u, w):
+        return sum(abs(a - b) ** power for a in u for b in w)
+
+    return max(Fraction(b * (n - b), n) * (2 * dist(x[:b], x[b:]) / (b * (n - b))
+                                           - dist(x[:b], x[:b]) / b ** 2
+                                           - dist(x[b:], x[b:]) / (n - b) ** 2)
+               for b in range(min_size, n - min_size + 1))
+
+
+# row blocks that cut short series at many places, and the production one
+BLOCKS = st.sampled_from([1, 3, 7, stepscan.edivisive._BLOCK_ROWS])
 
 
 class TestEnergyDivergence:
@@ -159,3 +223,107 @@ class TestEDivisive:
         with pytest.raises(ss.DataError):
             ss.e_divisive(ss.TimeSeries([1.0, 2.0], ss.PeriodIndex(1900)),
                           ss.EdivConfig(min_size=2))
+
+
+class TestBlockedKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_within_rounding_of_the_prefix_matrix(self, data):
+        n = data.draw(st.integers(4, 90))
+        v = data.draw(awkward_values(n))
+        alpha = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
+        min_size = data.draw(st.integers(2, max(2, n // 3)))
+        with mock.patch.object(stepscan.edivisive, "_BLOCK_ROWS", data.draw(BLOCKS)):
+            bs, q, total = _split_divergences(v, alpha, min_size)
+        want_bs, want_q, want_total = prefix_matrix_split_divergences(v, alpha, min_size)
+        np.testing.assert_array_equal(bs, want_bs)
+        assert abs(total - want_total) <= n * EPS * want_total
+        assert np.all(np.abs(q - want_q) <= n * EPS * want_total)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_equal_on_small_integers_at_alpha_one(self, data):
+        # every partial sum is an exact integer, so summation order is moot
+        n = data.draw(st.integers(4, 90))
+        v = np.array(data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)), float)
+        min_size = data.draw(st.integers(2, max(2, n // 3)))
+        with mock.patch.object(stepscan.edivisive, "_BLOCK_ROWS", data.draw(BLOCKS)):
+            bs, q, total = _split_divergences(v, 1.0, min_size)
+        _, want_q, want_total = prefix_matrix_split_divergences(v, 1.0, min_size)
+        assert total == want_total
+        assert q.tolist() == want_q.tolist()
+
+    def test_peak_memory_is_a_few_row_blocks(self):
+        # the (n+1)^2 prefix matrix peaked near 488 MB here
+        v = np.random.default_rng(3).normal(size=4000)
+        tracemalloc.start()
+        try:
+            _split_divergences(v, 1.0, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
+
+class TestTieRule:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exact_ties_count_against_the_split(self, data):
+        # values with no small-integer relation among them: Q ties
+        # exactly only when a permuted copy has the same split multisets,
+        # and then its float Q still depends on the order of summation
+        n = data.draw(st.integers(4, 10))
+        values = [math.sqrt(2), math.sqrt(3), math.pi / 3, math.e / 2, math.log(5)]
+        v = np.array(data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+        cfg = ss.EdivConfig(min_size=data.draw(st.integers(2, n // 2)),
+                            alpha=data.draw(st.sampled_from([1.0, 2.0])),
+                            num_permutations=19, seed=data.draw(st.integers(0, 3)))
+        b, _ = best_split(v, cfg)
+        q_obs = exact_max_q(v, cfg.alpha, cfg.min_size)
+        hits = sum(exact_max_q(np.random.default_rng([cfg.seed, 0, r]).permutation(v),
+                               cfg.alpha, cfg.min_size) >= q_obs
+                   for r in range(cfg.num_permutations))
+        assert permutation_test(v, b, cfg) == (1 + hits) / (cfg.num_permutations + 1)
+
+
+class TestAgainstPrefixMatrix:
+    """Outputs equal those of the old kernel under the same tie rule."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_permutation_p_value_does_not_hinge_on_rounding(self, data):
+        n = data.draw(st.integers(8, 60))
+        v = data.draw(bumpy_values(n))
+        cfg = ss.EdivConfig(min_size=data.draw(st.integers(2, n // 4)),
+                            alpha=data.draw(st.sampled_from([0.5, 1.0, 1.5])),
+                            num_permutations=49, seed=data.draw(st.integers(0, 3)))
+        b, _ = best_split(v, cfg)
+        with mock.patch.object(stepscan.edivisive, "_BLOCK_ROWS", data.draw(BLOCKS)):
+            got = permutation_test(v, b, cfg)
+        with mock.patch.object(stepscan.edivisive, "_split_divergences",
+                               prefix_matrix_split_divergences):
+            want = permutation_test(v, b, cfg)
+        assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_e_divisive_equals_prefix_matrix_reference(self, data):
+        n = data.draw(st.integers(20, 90))
+        if data.draw(st.booleans()):
+            alpha = 1.0
+            v = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), float)
+        else:
+            alpha = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            v = np.repeat(rng.normal(0, 3, 4), n // 4 + 1)[:n] + rng.normal(size=n)
+        series = ss.TimeSeries(v, ss.PeriodIndex(1900))
+        cfg = ss.EdivConfig(min_size=data.draw(st.integers(2, n // 4)), alpha=alpha,
+                            num_permutations=19, seed=data.draw(st.integers(0, 3)),
+                            sig_level=0.1)
+        with mock.patch.object(stepscan.edivisive, "_BLOCK_ROWS", data.draw(BLOCKS)):
+            got = ss.e_divisive(series, cfg)
+        with mock.patch.object(stepscan.edivisive, "_split_divergences",
+                               prefix_matrix_split_divergences):
+            want = ss.e_divisive(series, cfg)
+        assert got.breaks == want.breaks
+        assert got.criterion_trace == want.criterion_trace

@@ -1,0 +1,34 @@
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stepscan as ss
+
+
+@st.composite
+def separated_steps(draw):
+    """Unit-noise steps of at least 6 sigma over segments of 20 to 40 points."""
+    k = draw(st.integers(2, 4))
+    jumps = draw(st.lists(st.floats(6, 10), min_size=k - 1, max_size=k - 1))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k - 1, max_size=k - 1))
+    levels = np.cumsum([0.0] + [j * s for j, s in zip(jumps, signs)])
+    lengths = draw(st.lists(st.integers(20, 40), min_size=k, max_size=k))
+    sig, _ = ss.make_step_signal(levels.tolist(), lengths, seed=draw(st.integers(0, 2**16)))
+    return sig
+
+
+def all_breaks(sig):
+    dp = ss.select_breaks_bic(ss.build_rss_triangle(sig, 10), min(5, sig.n // 10 - 1))
+    wbs = ss.wbs_segment(sig, ss.WbsConfig(num_intervals=200, seed=1))
+    ediv = ss.e_divisive(sig, ss.EdivConfig(min_size=10, alpha=1.0,
+                                            num_permutations=49, seed=2))
+    return dp.breaks, wbs.breaks, ediv.breaks
+
+
+@settings(max_examples=25, deadline=None)
+@given(separated_steps(), st.floats(0.1, 10), st.floats(-100, 100))
+def test_breaks_invariant_under_positive_affine_maps(sig, c, d):
+    moved = sig.with_values(c * sig.values + d)
+    assert all_breaks(moved) == all_breaks(sig)

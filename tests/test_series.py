@@ -24,6 +24,13 @@ class TestTimeSeries:
         with pytest.raises(ss.DataError):
             annual([1.0, float("inf")])
 
+    def test_rejects_values_whose_sum_of_squares_overflows(self):
+        with pytest.raises(ss.DataError, match="sum of squares of 20 values"):
+            annual([1e308, -1e308] * 10)
+        with pytest.raises(ss.DataError, match="too large"):
+            annual([1e153] * 20)  # 4 n sum(y^2) = 1.6e310
+        assert annual([1e152] * 20).n == 20  # 1.6e308 still fits
+
     def test_values_are_immutable(self):
         s = annual([1.0, 2.0])
         with pytest.raises(ValueError):

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import awkward_values
+
 import stepscan as ss
 import stepscan.wbs
 from stepscan.wbs import _best_per_interval, _draw_intervals, mad_scale
@@ -78,18 +80,6 @@ def all_pairs_wbs_segment(series, cfg):
         v, [b for b, _ in found], method="wbs", min_len=cfg.min_len,
         trace=[(float(b), stat) for b, stat in found],
     )
-
-
-@st.composite
-def awkward_values(draw, n):
-    """Constant runs of integer or wide-ranging levels, optional noise, odd scales."""
-    level = st.one_of(st.integers(-3, 3).map(float),
-                      st.floats(-1e7, 1e7, allow_nan=False, allow_infinity=False))
-    runs = draw(st.lists(st.tuples(level, st.integers(1, 12)), min_size=1))
-    v = np.array([x for x, k in runs for _ in range(k)] * n)[:n]
-    if draw(st.booleans()):
-        v = v + draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
-    return v * draw(st.sampled_from([1.0, 1e-6, 1e6]))
 
 
 # block sizes that cut intervals at many places, and the production one;
