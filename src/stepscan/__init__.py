@@ -44,14 +44,12 @@ from .dating import (
     optimal_breaks,
     select_breaks_bic,
 )
-from .wbs import WbsConfig, interval_cusum, wbs_segment
+from .wbs import WbsConfig, wbs_segment
 from .edivisive import (
     EdivConfig,
     best_split,
     e_divisive,
-    energy_divergence,
     permutation_test,
-    sample_divergence,
 )
 from .seriesio import CsvSpec, monthly_to_quarterly, read_csv, write_csv
 from .synth import make_step_signal
@@ -92,14 +90,11 @@ __all__ = [
     "optimal_breaks",
     "select_breaks_bic",
     "WbsConfig",
-    "interval_cusum",
     "wbs_segment",
     "EdivConfig",
     "best_split",
     "e_divisive",
-    "energy_divergence",
     "permutation_test",
-    "sample_divergence",
     "CsvSpec",
     "monthly_to_quarterly",
     "read_csv",

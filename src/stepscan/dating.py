@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import Segmentation, TimeSeries, _clamped_rss, segmentation_from_breaks
+from .series import Segmentation, TimeSeries, _span_rss, segmentation_from_breaks
 
 __all__ = [
     "RssTriangle",
@@ -29,51 +29,26 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RssTriangle:
-    """Residual sums of squares rss(i, j) for contiguous spans of a series.
+    """A series and the minimal segment length of the partitions searched.
 
     rss(i, j) = sum_{k=i..j} y_k^2 - (sum y_k)^2 / (j - i + 1), clamped
-    at zero against rounding. Queries are O(1) from the cumulative sums,
-    so memory stays O(n).
+    at zero against rounding, is O(1) from the series cumulants, so
+    memory stays O(n).
     """
 
-    n: int
+    series: TimeSeries
     min_len: int
-    values: np.ndarray
-    cum: np.ndarray
-    cumsq: np.ndarray
 
-    def rss(self, i: int, j: int) -> float:
-        """RSS of the span [i..j], 1-based inclusive."""
-        if not 1 <= i <= j <= self.n:
-            raise ValueError(f"span [{i}, {j}] outside 1..{self.n}")
-        ssum = self.cum[j] - self.cum[i - 1]
-        qsum = self.cumsq[j] - self.cumsq[i - 1]
-        return float(_clamped_rss(qsum, ssum, j - i + 1))
-
-    def rss_row(self, i: int, j_lo: int, j_hi: int) -> np.ndarray:
-        """Vector of rss(i, j) for j = j_lo..j_hi."""
-        js = np.arange(j_lo, j_hi + 1)
-        ssum = self.cum[js] - self.cum[i - 1]
-        qsum = self.cumsq[js] - self.cumsq[i - 1]
-        return _clamped_rss(qsum, ssum, js - i + 1)
-
-    def rss_tail(self) -> np.ndarray:
-        """rss(a, n) for every start a = 1..n, from cumulants."""
-        starts = np.arange(1, self.n + 1)
-        ssum = self.cum[self.n] - self.cum[starts - 1]
-        qsum = self.cumsq[self.n] - self.cumsq[starts - 1]
-        return _clamped_rss(qsum, ssum, self.n - starts + 1)
+    @property
+    def n(self) -> int:
+        return self.series.n
 
 
-def build_rss_triangle(s: TimeSeries | np.ndarray, min_len: int) -> RssTriangle:
-    """Precompute the segment RSS cumulants."""
-    v = s.values if isinstance(s, TimeSeries) else np.asarray(s, dtype=float)
-    n = v.size
-    if not 1 <= min_len <= n:
-        raise ValueError(f"min_len must be in 1..{n}, got {min_len}")
-    cum = np.concatenate(([0.0], np.cumsum(v)))
-    cumsq = np.concatenate(([0.0], np.cumsum(v * v)))
-    return RssTriangle(n=n, min_len=min_len, values=v, cum=cum, cumsq=cumsq)
+def build_rss_triangle(s: TimeSeries, min_len: int) -> RssTriangle:
+    """Pair a series with the minimal segment length of its partitions."""
+    if not 1 <= min_len <= s.n:
+        raise ValueError(f"min_len must be in 1..{s.n}, got {min_len}")
+    return RssTriangle(series=s, min_len=min_len)
 
 
 def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
@@ -83,11 +58,10 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     values accumulate right to left (rss(first) + rest), which fixes the
     floating-point summation order for exact comparisons.
     """
-    n, h = tri.n, tri.min_len
+    s, n, h = tri.series, tri.n, tri.min_len
     D = np.full((jmax + 1, n + 2), np.inf)
-    tail = tri.rss_tail()
     last_start = n - h + 1
-    D[1, 1 : last_start + 1] = tail[:last_start]
+    D[1, 1 : last_start + 1] = _span_rss(s, np.arange(1, last_start + 1), n)
     if jmax < 2:
         return D
     # Start-outer order computes each row rss(a, a+h-1 .. n-h) once and
@@ -95,7 +69,7 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     # greater than a, which are final by then.
     for a in range(n - 2 * h + 1, 0, -1):
         b_lo = a + h - 1
-        row = tri.rss_row(a, b_lo, n - h)
+        row = _span_rss(s, a, np.arange(b_lo, n - h + 1))
         for j in range(2, min(jmax, (n - a + 1) // h) + 1):
             b_hi = n - (j - 1) * h
             D[j, a] = (row[: b_hi - b_lo + 1] + D[j - 1, b_lo + 1 : b_hi + 2]).min()
@@ -104,13 +78,13 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
 
 def _reconstruct(tri: RssTriangle, D: np.ndarray, m: int) -> list[int]:
     """Break positions for the m-break optimum, smallest lexicographic on ties."""
-    n, h = tri.n, tri.min_len
+    s, n, h = tri.series, tri.n, tri.min_len
     breaks: list[int] = []
     a = 1
     for j in range(m + 1, 1, -1):
         b_lo = a + h - 1
         b_hi = n - (j - 1) * h
-        vals = tri.rss_row(a, b_lo, b_hi) + D[j - 1, b_lo + 1 : b_hi + 2]
+        vals = _span_rss(s, a, np.arange(b_lo, b_hi + 1)) + D[j - 1, b_lo + 1 : b_hi + 2]
         b = b_lo + int(np.argmin(vals))  # first minimum = smallest break
         breaks.append(b)
         a = b + 1
@@ -130,7 +104,7 @@ def optimal_breaks(tri: RssTriangle, m: int) -> Segmentation:
             f"{m} breaks with min_len {tri.min_len} do not fit into {tri.n} observations"
         )
     breaks = [] if m == 0 else _reconstruct(tri, _suffix_costs(tri, m + 1), m)
-    return segmentation_from_breaks(tri.values, breaks, method="dp", min_len=tri.min_len)
+    return segmentation_from_breaks(tri.series, breaks, method="dp", min_len=tri.min_len)
 
 
 def bic_value(n: int, rss: float, m: int) -> float:
@@ -163,7 +137,7 @@ def select_breaks_bic(tri: RssTriangle, max_m: int) -> Segmentation:
     trace = [(float(m), bic_value(tri.n, float(rss_by_m[m]), m)) for m in range(max_m + 1)]
     best_m = min(range(max_m + 1), key=lambda m: (trace[m][1], m))
     breaks = [] if best_m == 0 else _reconstruct(tri, D, best_m)
-    return segmentation_from_breaks(tri.values, breaks, method="dp",
+    return segmentation_from_breaks(tri.series, breaks, method="dp",
                                     min_len=tri.min_len, trace=trace)
 
 

@@ -21,8 +21,6 @@ _BLOCK_ROWS = 128
 
 __all__ = [
     "EdivConfig",
-    "energy_divergence",
-    "sample_divergence",
     "best_split",
     "permutation_test",
     "e_divisive",
@@ -57,31 +55,6 @@ class EdivConfig:
             raise ValueError("num_permutations must be positive")
         if self.max_breaks is not None and self.max_breaks < 0:
             raise ValueError(f"max_breaks must be nonnegative, got {self.max_breaks}")
-
-
-def energy_divergence(x: np.ndarray, y: np.ndarray, alpha: float) -> float:
-    """E(X, Y; alpha): between-sample minus within-sample mean distances.
-
-    E = (2/nm) sum|x_i - y_j|^a - (1/n^2) sum|x_i - x_k|^a
-      - (1/m^2) sum|y_j - y_l|^a. Nonnegative for alpha in (0, 2); at
-    alpha = 2 it equals twice the squared mean difference.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size == 0 or y.size == 0:
-        raise DataError("energy divergence needs nonempty samples on both sides")
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must be in (0, 2], got {alpha}")
-    between = np.abs(x[:, None] - y[None, :]) ** alpha
-    within_x = np.abs(x[:, None] - x[None, :]) ** alpha
-    within_y = np.abs(y[:, None] - y[None, :]) ** alpha
-    return float(2.0 * between.mean() - within_x.mean() - within_y.mean())
-
-
-def sample_divergence(x: np.ndarray, y: np.ndarray, alpha: float) -> float:
-    """Q(X, Y; alpha) = nm/(n+m) * E(X, Y; alpha), the split criterion."""
-    n, m = len(x), len(y)
-    return n * m / (n + m) * energy_divergence(x, y, alpha)
 
 
 def _split_divergences(values: np.ndarray, alpha: float, min_size: int,
@@ -220,6 +193,6 @@ def e_divisive(s: TimeSeries, cfg: EdivConfig = EdivConfig()) -> Segmentation:
 
     accepted.sort(key=lambda t: t[0])
     return segmentation_from_breaks(
-        v, [b for b, _ in accepted], method="edivisive", min_len=cfg.min_size,
+        s, [b for b, _ in accepted], method="edivisive", min_len=cfg.min_size,
         trace=[(float(b), p) for b, p in accepted],
     )

@@ -119,7 +119,7 @@ def recursive_residuals(s: TimeSeries) -> np.ndarray:
     if s.n < 2:
         raise DataError("recursive residuals require at least two observations")
     v = s.values
-    grow_means = np.cumsum(v)[:-1] / np.arange(1, s.n)
+    grow_means = s.cumulants[0][1:-1] / np.arange(1, s.n)
     return v[1:] - grow_means
 
 
@@ -285,6 +285,8 @@ def sup_abs_test(process: FluctuationProcess, level: float = 0.05,
     """
     if not 0.0 < level <= 0.5:
         raise ValueError(f"level must be in (0, 0.5], got {level}")
+    if critical is not None and not math.isfinite(critical):
+        raise ValueError(f"critical must be finite, got {critical}")
 
     if process.kind == "ols_cusum":
         stat = float(np.max(np.abs(process.path)))

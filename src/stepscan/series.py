@@ -17,6 +17,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -180,6 +181,19 @@ class TimeSeries:
     @property
     def n(self) -> int:
         return int(self.values.size)
+
+    @cached_property
+    def cumulants(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cum, cumsq): prefix sums of y and y^2 with a leading zero.
+
+        Built once and shared by every caller, hence read-only.
+        """
+        v = self.values
+        cum = np.concatenate(([0.0], np.cumsum(v)))
+        cumsq = np.concatenate(([0.0], np.cumsum(v * v)))
+        cum.flags.writeable = False
+        cumsq.flags.writeable = False
+        return cum, cumsq
 
     def __len__(self) -> int:
         return self.n
@@ -358,42 +372,40 @@ class Segmentation:
 _EPS = float(np.finfo(float).eps)
 
 
-def _clamped_rss(qsum, ssum, lens):
-    """qsum - ssum^2/len with rounding residue snapped to exact zero.
+def _span_rss(s: TimeSeries, i, j):
+    """RSS of the spans [i..j] (1-based, inclusive), broadcast over i and j.
 
     The cumulant difference leaves O(len * eps * qsum) of noise on
     segments with no variation; anything below that scale is zero.
     """
+    cum, cumsq = s.cumulants
+    ssum = cum[j] - cum[i - 1]
+    qsum = cumsq[j] - cumsq[i - 1]
+    lens = j - i + 1
     raw = qsum - ssum * ssum / lens
     return np.where(raw <= 16.0 * _EPS * lens * qsum, 0.0, raw)
 
 
-def segmentation_from_breaks(values: Sequence[float], breaks: Sequence[int],
+def segmentation_from_breaks(s: TimeSeries, breaks: Sequence[int],
                              method: str, min_len: int,
                              trace: Sequence[tuple[float, float]] | None = None,
                              ) -> Segmentation:
-    """Build a Segmentation by computing means and RSS from raw values.
+    """Build a Segmentation with means and RSS from the series cumulants.
 
-    Means and RSS come from left-to-right cumulative sums, and segment
-    RSS values accumulate right to left as in the dynamic program, so
-    repeated calls are bit-identical.
+    Segment RSS values accumulate right to left as in the dynamic
+    program, so repeated calls are bit-identical.
     """
-    v = np.asarray(values, dtype=float)
-    n = v.size
-    cum = np.concatenate(([0.0], np.cumsum(v)))
-    cumsq = np.concatenate(([0.0], np.cumsum(v * v)))
+    cum = s.cumulants[0]
     bs = tuple(int(b) for b in sorted(breaks))
-    edges = np.array((0,) + bs + (n,))
-    ssum = cum[edges[1:]] - cum[edges[:-1]]
-    qsum = cumsq[edges[1:]] - cumsq[edges[:-1]]
+    edges = np.array((0,) + bs + (s.n,))
     lens = np.diff(edges)
     rss = 0.0
-    for seg_rss in _clamped_rss(qsum, ssum, lens)[::-1]:
+    for seg_rss in _span_rss(s, edges[:-1] + 1, edges[1:])[::-1]:
         rss = seg_rss + rss
     return Segmentation(
-        n=n,
+        n=s.n,
         breaks=bs,
-        segment_means=tuple(float(m) for m in ssum / lens),
+        segment_means=tuple(float(m) for m in (cum[edges[1:]] - cum[edges[:-1]]) / lens),
         rss_total=float(rss),
         method=method,
         min_len=min_len,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .series import DataError, Segmentation, TimeSeries, segmentation_from_breaks
 
-__all__ = ["WbsConfig", "interval_cusum", "wbs_segment", "mad_scale"]
+__all__ = ["WbsConfig", "wbs_segment", "mad_scale"]
 
 
 @dataclass(frozen=True)
@@ -110,26 +110,6 @@ def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     return best_b, best_stat
 
 
-def interval_cusum(values: np.ndarray, s: int, e: int) -> tuple[int, float]:
-    """Best split of the span [s..e] (1-based, inclusive) by weighted CUSUM.
-
-    X(b) = sqrt((e-b)/(n(b-s+1))) * sum(y[s..b])
-         - sqrt((b-s+1)/(n(e-b))) * sum(y[b+1..e]),  n = e - s + 1.
-    Returns the b with the largest |X(b)| (smallest b on ties) and that
-    maximum.
-    """
-    v = np.asarray(values, dtype=float)
-    if not 1 <= s < e <= v.size:
-        raise DataError(f"degenerate interval [{s}, {e}] for {v.size} observations")
-    bad = np.flatnonzero(~np.isfinite(v[:e]))
-    if bad.size:
-        raise DataError(f"non-finite value at position {bad[0] + 1}")
-    cum = np.concatenate(([0.0], np.cumsum(v)))
-    b, stat = _best_per_interval(cum, np.array([s]), np.array([e]),
-                                 np.array([s]), np.array([e - 1]))
-    return int(b[0]), float(stat[0])
-
-
 def _draw_intervals(n: int, count: int, min_len: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """count distinct intervals [s..e] with e - s + 1 >= 2*min_len, uniform."""
@@ -182,7 +162,7 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
     eps = float(np.finfo(float).eps)
     stat_floor = 4.0 * eps * n ** 1.5 * float(np.max(np.abs(v)))
     threshold = max(threshold, stat_floor)
-    cum = np.concatenate(([0.0], np.cumsum(v)))
+    cum = s.cumulants[0]
 
     # each drawn interval's best split over its whole range [s..e-1]
     full_b, full_stat = _best_per_interval(cum, starts, ends, starts, ends - 1)
@@ -218,6 +198,6 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
         found = found[: cfg.max_breaks]
     found.sort(key=lambda t: t[0])
     return segmentation_from_breaks(
-        v, [b for b, _ in found], method="wbs", min_len=cfg.min_len,
+        s, [b for b, _ in found], method="wbs", min_len=cfg.min_len,
         trace=[(float(b), stat) for b, stat in found],
     )

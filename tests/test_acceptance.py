@@ -20,6 +20,7 @@ from conftest import FIXTURES, brute_force_breaks
 
 import stepscan as ss
 from stepscan.cli import main
+from stepscan.series import _span_rss
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -97,9 +98,10 @@ def test_06_dp_matches_exhaustive_search():
         if (m + 1) * min_len > n:
             continue
         v = rng.normal(0, 3, n)
-        tri = ss.build_rss_triangle(ss.TimeSeries(v, ss.PeriodIndex(1900)), min_len)
-        seg = ss.optimal_breaks(tri, m)
-        best_rss, best_breaks = brute_force_breaks(v, m, min_len, rss=tri.rss)
+        s = ss.TimeSeries(v, ss.PeriodIndex(1900))
+        seg = ss.optimal_breaks(ss.build_rss_triangle(s, min_len), m)
+        best_rss, best_breaks = brute_force_breaks(
+            v, m, min_len, rss=lambda i, j: float(_span_rss(s, i, j)))
         if seg.rss_total != best_rss or seg.breaks != best_breaks:
             ok = False
             break

@@ -164,6 +164,16 @@ class TestCmdSegment:
         assert "threshold_constant must be finite and positive" in err
         assert "Out of range" not in err
 
+    @pytest.mark.parametrize("method,critical", [
+        ("mosum", "inf"), ("mosum", "nan"), ("ols-cusum", "nan"),
+    ])
+    def test_non_finite_critical_exits_1(self, capsys, method, critical):
+        # used to fail only at JSON emit, even where the value is unused
+        assert main(["test", "--method", method, "--critical", critical, NILE]) == 1
+        err = capsys.readouterr().err
+        assert "critical must be finite" in err
+        assert "Out of range" not in err
+
     @pytest.mark.parametrize("min_seg", ["nan%", "inf%", "abc", "1.5"])
     def test_malformed_min_seg_is_argparse_error(self, capsys, min_seg):
         with pytest.raises(SystemExit) as err:

@@ -9,6 +9,7 @@ from conftest import brute_force_breaks
 
 import stepscan as ss
 from stepscan.dating import _suffix_costs, bic_value
+from stepscan.series import _span_rss
 
 
 def annual(values):
@@ -17,40 +18,41 @@ def annual(values):
 
 class TestRssTriangle:
     def test_constant_series_all_zero(self):
-        tri = ss.build_rss_triangle(annual([4.0] * 6), 1)
+        s = annual([4.0] * 6)
         for i in range(1, 7):
             for j in range(i, 7):
-                assert tri.rss(i, j) == 0.0
+                assert _span_rss(s, i, j) == 0.0
 
     def test_hand_computed_value(self):
-        tri = ss.build_rss_triangle(annual([0, 0, 3, 3.0]), 1)
-        assert tri.rss(1, 4) == pytest.approx(9.0, rel=1e-14)
-        assert tri.rss(1, 2) == 0.0
-        assert tri.rss(2, 3) == pytest.approx(4.5, rel=1e-14)
+        s = annual([0, 0, 3, 3.0])
+        assert _span_rss(s, 1, 4) == pytest.approx(9.0, rel=1e-14)
+        assert _span_rss(s, 1, 2) == 0.0
+        assert _span_rss(s, 2, 3) == pytest.approx(4.5, rel=1e-14)
 
     def test_full_span_equals_scaled_variance(self):
         rng = np.random.default_rng(0)
         v = rng.normal(3, 2, 50)
-        tri = ss.build_rss_triangle(annual(v), 1)
-        assert tri.rss(1, 50) == pytest.approx(50 * np.var(v), rel=1e-12)
+        assert _span_rss(annual(v), 1, 50) == pytest.approx(50 * np.var(v), rel=1e-12)
 
     def test_cumulants_match_direct_summation(self):
         rng = np.random.default_rng(1)
         v = rng.normal(0, 5, 80)
-        tri = ss.build_rss_triangle(annual(v), 1)
+        s = annual(v)
         for i, j in [(1, 10), (5, 30), (40, 80), (7, 7), (13, 26)]:
             seg = v[i - 1 : j]
             direct = float(((seg - seg.mean()) ** 2).sum())
-            assert tri.rss(i, j) == pytest.approx(direct, rel=1e-9, abs=1e-12)
+            assert _span_rss(s, i, j) == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
     def test_rows_equal_scalar_queries(self):
         rng = np.random.default_rng(2)
         v = np.concatenate([rng.normal(size=30), np.full(10, 7.0)]) * 1e3
-        tri = ss.build_rss_triangle(annual(v), 3)
+        s = annual(v)
         for i in range(1, 41):
-            row = tri.rss_row(i, i, 40)
-            scalars = np.array([tri.rss(i, j) for j in range(i, 41)])
-            np.testing.assert_array_equal(row, scalars)
+            scalars = np.array([_span_rss(s, i, j) for j in range(i, 41)])
+            np.testing.assert_array_equal(_span_rss(s, i, np.arange(i, 41)), scalars)
+            # broadcast over starts with a fixed end, as the DP's last layer
+            tails = np.array([_span_rss(s, a, i) for a in range(1, i + 1)])
+            np.testing.assert_array_equal(_span_rss(s, np.arange(1, i + 1), i), tails)
 
     def test_min_len_validation(self):
         with pytest.raises(ValueError):
@@ -64,7 +66,7 @@ class TestOptimalBreaks:
         tri = ss.build_rss_triangle(annual(v), 5)
         seg = ss.optimal_breaks(tri, 0)
         assert seg.breaks == ()
-        assert seg.rss_total == pytest.approx(tri.rss(1, 30), rel=1e-14)
+        assert seg.rss_total == pytest.approx(_span_rss(tri.series, 1, 30), rel=1e-14)
 
     def test_noiseless_step(self):
         sig, _ = ss.make_step_signal([0, 5], [50, 50], sigma=0.0)
@@ -90,7 +92,8 @@ class TestOptimalBreaks:
             tri = ss.build_rss_triangle(annual(v), min_len)
             seg = ss.optimal_breaks(tri, m)
             # exact against enumeration over the same rss primitive
-            exact = brute_force_breaks(v, m, min_len, rss=tri.rss)
+            s = tri.series
+            exact = brute_force_breaks(v, m, min_len, rss=lambda i, j: float(_span_rss(s, i, j)))
             assert seg.rss_total == exact[0]
             assert seg.breaks == exact[1]
             # and to rounding against a fully independent rss
@@ -125,14 +128,14 @@ def layer_outer_suffix_costs(tri, jmax):
 
     Each (j, a) cell recomputes its RSS row from the cumulants.
     """
-    n, h = tri.n, tri.min_len
+    s, n, h = tri.series, tri.n, tri.min_len
     D = np.full((jmax + 1, n + 2), np.inf)
-    D[1, 1 : n - h + 2] = tri.rss_tail()[: n - h + 1]
+    D[1, 1 : n - h + 2] = _span_rss(s, np.arange(1, n - h + 2), n)
     for j in range(2, jmax + 1):
         b_hi = n - (j - 1) * h
         for a in range(1, n - j * h + 2):
             b_lo = a + h - 1
-            vals = tri.rss_row(a, b_lo, b_hi) + D[j - 1, b_lo + 1 : b_hi + 2]
+            vals = _span_rss(s, a, np.arange(b_lo, b_hi + 1)) + D[j - 1, b_lo + 1 : b_hi + 2]
             D[j, a] = vals.min()
     return D
 
@@ -208,6 +211,6 @@ class TestFittedStep:
 
     def test_length_mismatch(self):
         s = annual([1.0, 2.0, 3.0, 6.0])
-        seg = ss.segmentation_from_breaks([1.0, 2.0], [], method="dp", min_len=1)
+        seg = ss.segmentation_from_breaks(annual([1.0, 2.0]), [], method="dp", min_len=1)
         with pytest.raises(ValueError):
             ss.fitted_step(s, seg)

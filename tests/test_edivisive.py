@@ -74,39 +74,47 @@ def exact_max_q(values, alpha, min_size):
 BLOCKS = st.sampled_from([1, 3, 7, stepscan.edivisive._BLOCK_ROWS])
 
 
+def split_q(x, y, alpha):
+    """Q of concat(x, y) split at b = len(x), and the total pairwise distance T."""
+    v = np.concatenate((x, y)).astype(float)
+    bs, q, _ = _split_divergences(v, alpha, min(len(x), len(y)))
+    total = float((np.abs(v[:, None] - v[None, :]) ** alpha).sum())
+    return float(q[bs == len(x)][0]), v.size * EPS * total
+
+
 class TestEnergyDivergence:
     def test_identical_multisets_are_indistinguishable(self):
         x = np.array([1.0, 2.0, 5.0, 2.0])
-        assert abs(ss.energy_divergence(x, x.copy(), 1.0)) <= 1e-12
-        assert abs(ss.energy_divergence(x, x.copy(), 2.0)) <= 1e-12
+        for alpha in (1.0, 2.0):
+            q, tol = split_q(x, x.copy(), alpha)
+            assert abs(q) <= tol
 
     def test_hand_computed_example(self):
         x = np.array([0.0, 0.0])
         y = np.array([1.0, 1.0])
-        assert ss.energy_divergence(x, y, 2.0) == pytest.approx(2.0, rel=1e-14)
-        assert ss.sample_divergence(x, y, 2.0) == pytest.approx(2.0, rel=1e-14)
+        assert split_q(x, y, 2.0)[0] == pytest.approx(2.0, rel=1e-14)
+        assert split_q(x, y, 1.0)[0] == pytest.approx(2.0, rel=1e-14)
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=15),
            st.lists(st.floats(-10, 10), min_size=2, max_size=15))
     def test_alpha_two_is_twice_squared_mean_difference(self, xs, ys):
         x, y = np.asarray(xs), np.asarray(ys)
-        expected = 2.0 * (x.mean() - y.mean()) ** 2
-        assert ss.energy_divergence(x, y, 2.0) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        n, m = x.size, y.size
+        expected = n * m / (n + m) * 2.0 * (x.mean() - y.mean()) ** 2
+        assert split_q(x, y, 2.0)[0] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     @settings(max_examples=60)
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=12),
            st.lists(st.floats(-5, 5), min_size=1, max_size=12),
            st.sampled_from([0.5, 1.0, 1.5]))
     def test_nonnegative_for_alpha_below_two(self, xs, ys, alpha):
-        assert ss.energy_divergence(np.asarray(xs), np.asarray(ys), alpha) >= -1e-12
-
-    def test_empty_sample_is_an_error(self):
-        with pytest.raises(ss.DataError):
-            ss.energy_divergence(np.array([]), np.array([1.0]), 1.0)
+        q, tol = split_q(xs, ys, alpha)
+        assert q >= -tol
 
     def test_alpha_domain(self):
-        with pytest.raises(ValueError):
-            ss.energy_divergence(np.array([1.0]), np.array([2.0]), 2.5)
+        for alpha in (0.0, -1.0, 2.5, float("nan")):
+            with pytest.raises(ValueError, match="alpha"):
+                ss.EdivConfig(alpha=alpha)
 
 
 class TestBestSplit:

@@ -117,18 +117,21 @@ class TestProcesses:
         with pytest.raises(ValueError):
             ss.build_process(annual([1.0, 2.0]), "mosum")
 
-    @settings(max_examples=40)
+    @settings(max_examples=80)
     @given(st.lists(st.integers(-20, 20), min_size=5, max_size=40),
-           st.integers(-5, 5), st.sampled_from([-3, -1, 2, 5]))
-    def test_statistic_invariant_under_affine_maps(self, raw, a, c):
+           st.integers(-5, 5), st.sampled_from([-3, -1, 2, 5]),
+           st.sampled_from(["ols_cusum", "rec_cusum"]),
+           st.sampled_from([ss.plain_variance, ss.long_run_variance]))
+    def test_statistic_invariant_under_affine_maps(self, raw, a, c, kind, variance):
         y = np.asarray(raw, dtype=float)
         if np.ptp(y) == 0:
             return
         s1 = annual(y)
         s2 = annual(a + c * y)
-        t1 = ss.sup_abs_test(ss.build_process(s1, "ols_cusum"), 0.05)
-        t2 = ss.sup_abs_test(ss.build_process(s2, "ols_cusum"), 0.05)
+        t1 = ss.sup_abs_test(ss.build_process(s1, kind, variance(s1)), 0.05)
+        t2 = ss.sup_abs_test(ss.build_process(s2, kind, variance(s2)), 0.05)
         assert t1.statistic == pytest.approx(t2.statistic, rel=1e-9)
+        assert t1.p_value == pytest.approx(t2.p_value, rel=1e-9)
 
 
 class TestMosum:

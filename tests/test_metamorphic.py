@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +20,12 @@ def separated_steps(draw):
     return sig
 
 
+def dp_fit(sig):
+    return ss.select_breaks_bic(ss.build_rss_triangle(sig, 10), min(5, sig.n // 10 - 1))
+
+
 def all_breaks(sig):
-    dp = ss.select_breaks_bic(ss.build_rss_triangle(sig, 10), min(5, sig.n // 10 - 1))
+    dp = dp_fit(sig)
     wbs = ss.wbs_segment(sig, ss.WbsConfig(num_intervals=200, seed=1))
     ediv = ss.e_divisive(sig, ss.EdivConfig(min_size=10, alpha=1.0,
                                             num_permutations=49, seed=2))
@@ -32,3 +37,15 @@ def all_breaks(sig):
 def test_breaks_invariant_under_positive_affine_maps(sig, c, d):
     moved = sig.with_values(c * sig.values + d)
     assert all_breaks(moved) == all_breaks(sig)
+
+
+@settings(max_examples=40, deadline=None)
+@given(separated_steps())
+def test_dp_breaks_mirror_under_time_reversal(sig):
+    fwd = dp_fit(sig)
+    back = dp_fit(sig.with_values(sig.values[::-1]))
+    assert back.breaks == tuple(sig.n - b for b in reversed(fwd.breaks))
+    m_fwd, bic_fwd = zip(*fwd.criterion_trace)
+    m_back, bic_back = zip(*back.criterion_trace)
+    assert m_back == m_fwd
+    assert bic_back == pytest.approx(bic_fwd, rel=1e-9)

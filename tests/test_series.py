@@ -32,9 +32,17 @@ class TestTimeSeries:
         assert annual([1e152] * 20).n == 20  # 1.6e308 still fits
 
     def test_values_are_immutable(self):
-        s = annual([1.0, 2.0])
+        s = annual([1.0, 2.0, 4.0])
         with pytest.raises(ValueError):
             s.values[0] = 5.0
+        # the cumulants are built once and shared by every caller
+        cum, cumsq = s.cumulants
+        assert s.cumulants[0] is cum
+        np.testing.assert_array_equal(cum, [0.0, 1.0, 3.0, 7.0])
+        np.testing.assert_array_equal(cumsq, [0.0, 1.0, 5.0, 21.0])
+        for arr in (cum, cumsq):
+            with pytest.raises(ValueError):
+                arr[1] = 0.0
 
     def test_date_index_must_match_length(self):
         import datetime as dt
@@ -168,7 +176,7 @@ class TestFitAr1:
 
 class TestSegmentation:
     def test_partition_bookkeeping(self):
-        seg = segmentation_from_breaks([0, 0, 3, 3.0], [2], method="dp", min_len=2)
+        seg = segmentation_from_breaks(annual([0, 0, 3, 3.0]), [2], method="dp", min_len=2)
         assert seg.bounds() == ((1, 2), (3, 4))
         assert seg.segment_means == (0.0, 3.0)
         assert seg.rss_total == 0.0
@@ -195,5 +203,5 @@ class TestSegmentation:
             st.sets(st.integers(2, n - 2), min_size=k, max_size=k)))
         if any(b - a < 2 for a, b in zip([0] + candidates, candidates + [n])):
             candidates = []
-        seg = segmentation_from_breaks(values, candidates, method="dp", min_len=2)
+        seg = segmentation_from_breaks(annual(values), candidates, method="dp", min_len=2)
         seg.validate(values, rtol=1e-10)
