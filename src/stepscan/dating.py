@@ -6,6 +6,13 @@ squares. For a fixed m the global minimizer over all partitions with
 segments of at least min_len observations is found by a Bellman
 recursion over per-segment RSS values; the number of breaks is chosen
 by the Bayesian Information Criterion.
+
+The recursion runs layer by layer over blocks of _BLOCK_STARTS start
+points and evaluates only the split candidates that can still win: a
+candidate is dropped once, as a function of the segment mean, another
+candidate is below it everywhere by more than a rounding margin
+(functional pruning, as in pDPA and FPOP). The cost table stays
+bit-identical to evaluating every split.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import Segmentation, TimeSeries, _span_rss, segmentation_from_breaks
+from .series import _EPS, DataError, Segmentation, TimeSeries, _span_rss, segmentation_from_breaks
 
 __all__ = [
     "RssTriangle",
@@ -51,29 +58,284 @@ def build_rss_triangle(s: TimeSeries, min_len: int) -> RssTriangle:
     return RssTriangle(series=s, min_len=min_len)
 
 
+# Starts per block of the pruned Bellman sweep.
+_BLOCK_STARTS = 96
+# Largest cost table the dynamic program allocates (1 GiB).
+_TABLE_BUDGET_BYTES = 1 << 30
+# Mean intervals are widened by this share of the largest mean magnitude
+# in the domain, far more than the few-ulp rounding of their arithmetic.
+_WIDEN = 2.0 ** -40
+
+
 def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     """D[j, a] = minimal RSS of splitting [a..n] into j segments.
 
-    Entries are +inf where no admissible split exists. Segment RSS
-    values accumulate right to left (rss(first) + rest), which fixes the
-    floating-point summation order for exact comparisons.
+    Entries are +inf where no admissible split exists. A cell is the
+    minimum of fl(_span_rss(s, a, c - 1) + D[j - 1, c]) over the next
+    starts c >= a + h. The dense loop evaluates every c; this one
+    evaluates a superset of every float argmin with the same expression,
+    so D is bit-identical to it (tests/test_dating.py keeps the dense
+    loop as the reference).
+
+    Order. Layer by layer; within a layer the starts sweep right to left
+    in blocks of _BLOCK_STARTS. A block first evaluates its own new
+    candidates c = a + h and the previous block's best candidate at every
+    start; the largest of the resulting per-start minima, U, bounds every
+    cell of the block from above. Then it evaluates the live candidates
+    with D[j - 1, c] < U: span RSS values are >= 0, so any other one
+    costs at least U there. The live set is then pruned for the blocks
+    to come.
+
+    Pruning (pDPA, Rigaill 2015). As a function of the segment mean mu,
+    candidate c costs q_c(mu) = D[j-1, c] + sum_{k<c} (y_k - mu)^2. Its
+    exact value at start a is min_mu q_c(mu) - sum_{k<a} (y_k - mu)^2,
+    that is D[j-1, c] + E with E = Q - S^2/L of the span [a..c-1] when
+    every sum is taken from the stored cumulants, so their own summation
+    error does not enter. q_c - q_c' does not depend on a. So once every
+    mu in the domain (min y to max y, padded by the drift of S/L in the
+    cumulants) has some candidate below q_c by more than
+    tau = 2 (e_c + e_c'), c cannot be a float argmin at any later start,
+    and it is dropped. For c' < c, q_c - q_c' = D_c - D_c' + R
+    + L (mu - m)^2, with m, R and L the mean, RSS and length of
+    y[c'..c-1]: a new candidate c' confines every later c to an interval
+    of mu, and a new candidate goes when one later candidate beats it
+    over its whole interval. A chain of dropped candidates ends in a live
+    one whose exact value is lower by more than e_c + e_live.
+
+    The margin e_c (u = eps/2, Q_c = cumsq[c-1] bounds every span's Q)
+    bounds how far c's float value can fall below its exact value plus
+    how far it can rise above it, at every start to come:
+      - the arithmetic of _span_rss and of the addition: about
+        16u Q_c + 2u D_c + 5u neg_c, taken as 32u Q_c + 8u D_c + 8u neg_c;
+      - the snap of _span_rss to 0 below 16 eps L qsum, which lowers a
+        value by up to 32u (c-1) Q_c. Once c's span RSS at a block's
+        smallest start exceeds that plus the rounding, c is never snapped
+        again (RSS grows as a decreases), and the term is dropped;
+      - until then, a snapped E < 0 rises by |E|, at most neg_c: the
+        error of E from the cumulants' sequential sums (err_s, err_q);
+      - 16 times the smallest normal float, for products that underflow
+        (their rounding is absolute, not relative).
+    The second half of tau covers the rounding of m, R and the radii;
+    interval ends move out (in, for the covering test) by _WIDEN of the
+    largest mean magnitude. _reconstruct still scans every split.
+
+    A layer stops pruning once, after four blocks, its live set holds
+    more than half the candidates: with a +1e6 offset the snap ties most
+    spans and nothing can be dropped.
     """
     s, n, h = tri.series, tri.n, tri.min_len
+    planned = 8 * (jmax + 1) * (n + 2)
+    if planned > _TABLE_BUDGET_BYTES:
+        raise DataError(
+            f"the dynamic program would need a {planned:,}-byte cost table for"
+            f" {jmax - 1} breaks over {n} observations, over its"
+            f" {_TABLE_BUDGET_BYTES:,}-byte budget; lower --max-breaks or raise --min-seg"
+        )
     D = np.full((jmax + 1, n + 2), np.inf)
-    last_start = n - h + 1
-    D[1, 1 : last_start + 1] = _span_rss(s, np.arange(1, last_start + 1), n)
+    D[1, 1 : n - h + 2] = _span_rss(s, np.arange(1, n - h + 2), n)
     if jmax < 2:
         return D
-    # Start-outer order computes each row rss(a, a+h-1 .. n-h) once and
-    # serves every layer from it. D[j-1, .] is read only at starts
-    # greater than a, which are final by then.
-    for a in range(n - 2 * h + 1, 0, -1):
-        b_lo = a + h - 1
-        row = _span_rss(s, a, np.arange(b_lo, n - h + 1))
-        for j in range(2, min(jmax, (n - a + 1) // h) + 1):
-            b_hi = n - (j - 1) * h
-            D[j, a] = (row[: b_hi - b_lo + 1] + D[j - 1, b_lo + 1 : b_hi + 2]).min()
+    plan = _Plan.build(s, h, _BLOCK_STARTS)
+    for j in range(2, jmax + 1):
+        if n - j * h + 1 < 1:
+            break
+        _pruned_layer(s, h, D[j - 1], D[j], n - j * h + 1, plan)
     return D
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What every layer of one _suffix_costs call shares."""
+
+    block: int             # starts per block
+    snap: np.ndarray       # e_c while c may still be snapped (indexed by c - 1), and
+                           # the span RSS above which it never will be
+    settled: np.ndarray    # e_c once c is known never to snap
+    dom: np.ndarray        # [lo; hi] of the mean domain, repeated per new candidate
+    wid: float             # _WIDEN times the largest |mu| of the domain
+    inv_gap: np.ndarray    # 1 / (c - c') between a block's new candidates,
+    not_later: np.ndarray  # and +inf where c is not later than c'
+    triangle: tuple        # pairs (start i, candidate k >= i) of a block, row starts
+
+    @staticmethod
+    def build(s: TimeSeries, h: int, block: int) -> "_Plan":
+        cum, cumsq = s.cumulants
+        y = s.values
+        u = _EPS / 2
+        # |cum[k] - exact sum| and |cumsq[k] - exact sum of squares|, from
+        # sequential summation, with a little slack for their own rounding.
+        err_s = 1.01 * u * np.cumsum(np.abs(cum))
+        err_q = 2.02 * u * np.cumsum(cumsq)
+        neg = 2 * err_q + 4 * float(np.abs(y).max()) * err_s + 4 * err_s * err_s / h
+        pad = 2 * err_s[-1] / h
+        floor = 16 * np.finfo(float).tiny  # products that underflow
+        lo, hi = float(y.min()) - pad, float(y.max()) + pad
+        wid = _WIDEN * max(abs(lo), abs(hi))
+        ar = np.arange(block)
+        gap = (ar - ar[:, None]).astype(float)
+        return _Plan(
+            block=block,
+            snap=u * (32 * np.arange(cum.size) + 16) * cumsq + 3 * neg + floor,
+            settled=u * (32 * cumsq + 8 * neg) + floor,
+            dom=np.array([[lo - wid], [hi + wid]]) * np.ones(block),
+            wid=wid,
+            inv_gap=1.0 / np.maximum(gap, 1.0),
+            not_later=np.where(gap > 0, 0.0, np.inf),
+            triangle=_triangle(block),
+        )
+
+
+def _triangle(nb: int) -> tuple:
+    """Row and column of each pair i <= k in a block of nb, row by row, and row starts."""
+    ti, tk = np.triu_indices(nb)
+    return ti, tk, np.flatnonzero(ti == tk)
+
+
+def _pruned_layer(s: TimeSeries, h: int, prev: np.ndarray, out: np.ndarray,
+                  a_top: int, plan: _Plan) -> None:
+    """Fill out[1..a_top] from the previous layer prev (see _suffix_costs)."""
+    cum, cumsq = s.cumulants
+    B = plan.block
+    # the live candidates, their mean intervals [lo; hi], and whether each
+    # is known never to be snapped again
+    live = np.empty(0, dtype=np.intp)
+    ends = np.empty((2, 0))
+    sure = np.empty(0, dtype=bool)
+    probe = None
+    pruning, added = True, 0
+    a_hi = a_top
+    while a_hi >= 1:
+        a_lo = max(1, a_hi - B + 1)
+        nb = a_hi - a_lo + 1
+        ti, tk, row_first = plan.triangle if nb == B else _triangle(nb)
+        starts = np.arange(a_lo, a_hi + 1)
+        new = starts + h
+        # new candidates at the starts they are admissible for, then the probe
+        rows, cols = starts[ti], new[tk]
+        if probe is not None:
+            rows = np.concatenate((rows, starts))
+            cols = np.concatenate((cols, np.full(nb, probe)))
+        rss = _span_rss(s, rows, cols - 1)
+        vals = rss + prev[cols]
+        best = np.minimum.reduceat(vals[: ti.size], row_first)
+        i = int(np.argmin(vals[:nb]))  # the next probe: best candidate at a_lo
+        nxt, at_lo = new[i], vals[i]
+        if probe is not None:
+            np.minimum(best, vals[ti.size :], out=best)
+            if vals[ti.size] < at_lo:
+                nxt, at_lo = probe, vals[ti.size]
+        row0 = rss[:nb].copy()  # span RSS at a_lo, to learn which c never snap
+        del rss, vals  # block-sized temporaries are freed once used
+        f = prev[live] < best.max()
+        old = live[f]
+        if old.size:
+            vals = _span_rss(s, starts[:, None], old - 1)
+            row0 = np.concatenate((row0, vals[0]))
+            vals += prev[old]
+            np.minimum(best, vals.min(axis=1), out=best)
+            i = int(np.argmin(vals[0]))
+            if vals[0, i] < at_lo:
+                nxt = old[i]
+            del vals
+        out[a_lo : a_hi + 1] = best
+        probe = nxt
+        added += nb
+        a_hi = a_lo - 1
+        if a_hi < 1:
+            break
+        if not pruning:
+            live = np.concatenate((new, live))
+            continue
+
+        cand = np.concatenate((new, old))
+        sr = np.concatenate((np.zeros(nb, dtype=bool), sure[f]))
+        sr |= row0 > plan.snap[cand - 1]
+        dc = prev[cand]
+        t = 2 * (np.where(sr, plan.settled[cand - 1], plan.snap[cand - 1]) + 8 * (_EPS / 2) * dc)
+        pc = dc + cumsq[cand - 1]  # D_c + Q_c: the part of q_c's constant that varies
+        hull = np.concatenate((plan.dom[:, :nb], ends[:, f]), axis=1)
+        keep = _prune(cand, cum[cand - 1], pc + t, pc - t, hull, nb, plan)
+        rest = ~f
+        live = np.concatenate((cand[keep], live[rest]))
+        ends = np.concatenate((hull[:, keep], ends[:, rest]), axis=1)
+        sure = np.concatenate((sr[keep], sure[rest]))
+        if added >= 4 * B and 2 * live.size > added:
+            pruning = False
+
+
+def _prune(cand: np.ndarray, cc: np.ndarray, up: np.ndarray, down: np.ndarray,
+           hull: np.ndarray, nb: int, plan: _Plan) -> np.ndarray:
+    """Which candidates stay live; narrows their mean intervals in place.
+
+    cand holds the block's nb new candidates, then the old ones; per
+    candidate c, cc = cum[c-1], up and down = D_c + Q_c +- 2 e_c and
+    hull = [lo; hi]. For a pair c' < c with m the mean of y[c'..c-1], c
+    is within tau of c' where L (mu - m)^2 <= d + tau, d = D_c' - D_c - R,
+    and c beats c' by more than tau where L (mu - m)^2 < d - tau. Rows
+    are new candidates c', columns the later ones.
+    """
+    wid = plan.wid
+    inv_n = plan.inv_gap[:nb, :nb]
+    later = plan.not_later[:nb, :nb]
+    sdm_n = cc[:nb] - cc[:nb, None]
+    m_n = sdm_n * inv_n
+    sdm_n *= m_n
+    with np.errstate(invalid="ignore"):  # sqrt < 0: c loses everywhere, NaN drops it
+        r = up[:nb, None] - down[:nb]
+        r += sdm_n
+        r += later
+        r *= inv_n
+        _narrow(hull[:, :nb], m_n, np.sqrt(r, out=r), wid)
+        del r  # each pair matrix is freed once used, to keep the peak low
+        # a new candidate dropped by newer ones constrains the others no
+        # more than those do, so only the survivors narrow the old ones
+        rows = np.flatnonzero(hull[0, :nb] <= hull[1, :nb])
+        dm = down[rows, None] - up[:nb]
+        dm += sdm_n[rows]
+        dm -= later[rows]
+        del sdm_n
+        m_n = m_n[rows]
+        covered = _covers(dm, inv_n[rows], m_n, hull[:, rows], wid)
+        del dm, m_n
+        if cand.size > nb:
+            inv_o = 1.0 / (cand[nb:] - cand[rows, None])
+            sdm_o = cc[nb:] - cc[rows, None]
+            m_o = sdm_o * inv_o
+            sdm_o *= m_o
+            r = up[rows, None] - down[nb:]
+            r += sdm_o
+            r *= inv_o
+            _narrow(hull[:, nb:], m_o, np.sqrt(r, out=r), wid)
+            np.subtract(down[rows, None], up[nb:], out=r)
+            r += sdm_o
+            covered |= _covers(r, inv_o, m_o, hull[:, rows], wid)
+    keep = hull[0] <= hull[1]
+    keep[rows[covered]] = False
+    return keep
+
+
+def _narrow(hull: np.ndarray, m: np.ndarray, r: np.ndarray, wid: float) -> None:
+    """Intersect each column's [lo; hi] with every row's [m - r, m + r], widened."""
+    edge = m - r
+    np.maximum(hull[0], edge.max(axis=0) - wid, out=hull[0])
+    np.add(m, r, out=edge)
+    np.minimum(hull[1], edge.min(axis=0) + wid, out=hull[1])
+
+
+def _covers(dm: np.ndarray, inv: np.ndarray, m: np.ndarray, hull: np.ndarray,
+            wid: float) -> np.ndarray:
+    """Per row: some column beats it over its whole interval [lo; hi].
+
+    dm * inv is the squared radius around m inside which the column
+    wins; the radius is narrowed by wid. NaN (a negative square) never
+    covers. dm is overwritten.
+    """
+    dm *= inv
+    beat = np.sqrt(dm, out=dm)
+    beat -= wid
+    off = m - 0.5 * (hull[1] + hull[0])[:, None]
+    beat -= np.abs(off, out=off)
+    return (beat > 0.5 * (hull[1] - hull[0])[:, None]).any(axis=1)
 
 
 def _reconstruct(tri: RssTriangle, D: np.ndarray, m: int) -> list[int]:

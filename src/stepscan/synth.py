@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import math
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +39,11 @@ def make_step_signal(means: Sequence[float], lengths: Sequence[int],
         raise ValueError(f"{len(means)} means for {len(lengths)} lengths")
     if not lengths or any(l < 1 for l in lengths):
         raise ValueError("segment lengths must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not math.isfinite(sigma) or sigma < 0:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    bad = [i for i, m in enumerate(means, 1) if not math.isfinite(m)]
+    if bad:
+        raise ValueError(f"means must be finite, got {means[bad[0] - 1]} at position {bad[0]}")
     if noise not in ("gaussian", "ar1"):
         raise ValueError(f"unknown noise kind {noise!r}")
     if noise == "ar1" and not -1.0 < rho < 1.0:

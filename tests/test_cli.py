@@ -240,6 +240,17 @@ class TestCmdSynth:
         assert main(["synth", "--means", "0,5", "--lengths", "20"]) == 2
         assert main(["synth", "--means", "0", "--lengths", "-4"]) == 2
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--means", "0,5", "--sigma", "nan"], "sigma"),
+        (["--means", "0,5", "--sigma", "inf"], "sigma"),
+        (["--means", "0,nan"], "means"),
+    ])
+    def test_non_finite_spec_exits_2_naming_it(self, capsys, flags, name):
+        # used to exit 1 with "non-finite value at position ..." from TimeSeries
+        assert main(["synth", "--lengths", "30,30", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stepscan: invalid signal spec: ") and name in err, err
+
 
 _FUZZ_VALUES = ["0", "-1", "1", "3", "15", "0%", "10%", "nan%", "abc", "0.5", "nan"]
 _DATING_FLAGS = ["--max-breaks", "--level", "--alpha", "--threshold-c", "--seed"]
@@ -305,6 +316,24 @@ class TestProcessLevelContract:
         usage = subprocess.run([sys.executable, "-m", "stepscan.cli", "frobnicate"],
                                capture_output=True, text=True, cwd=str(REPO))
         assert usage.returncode == 2
+
+    def test_dp_table_over_budget_exits_1_before_allocating(self, tmp_path):
+        # (max_breaks + 2) * (n + 2) * 8 bytes = 1.15 GB, over the 1 GiB budget
+        n = 12000
+        path = tmp_path / "long.csv"
+        rows = ["DATE,value"] + [f"{1000 + i // 12}-{i % 12 + 1:02d}-01,{i % 7}"
+                                 for i in range(n)]
+        path.write_text("\n".join(rows) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "stepscan.cli", "segment", "--method", "dp",
+             "--min-seg", "1", "--max-breaks", str(n - 1), str(path)],
+            capture_output=True, text=True, cwd=str(REPO), timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert "1,152,288,016-byte" in lines[0]
+        assert "--max-breaks" in lines[0] and "--min-seg" in lines[0]
 
     @pytest.mark.parametrize("argv", [
         ["segment", "--method", "dp"],

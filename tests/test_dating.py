@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_breaks
+from conftest import awkward_values, brute_force_breaks
 
 import stepscan as ss
+import stepscan.dating as dating
 from stepscan.dating import _suffix_costs, bic_value
 from stepscan.series import _span_rss
 
@@ -156,6 +160,70 @@ class TestSuffixCosts:
         jmax = data.draw(st.integers(1, n // h))
         tri = ss.build_rss_triangle(annual(v), h)
         assert np.array_equal(_suffix_costs(tri, jmax), layer_outer_suffix_costs(tri, jmax))
+
+
+def six_regimes(n, seed, offset=0.0):
+    """The long-series benchmark shape: six equal regimes, shifts of 2 sigma or more."""
+    means = np.array([0.0, 2.0, -1.0, 1.5, -0.5, 2.5]) + offset
+    lengths = [n // 6] * 5 + [n - 5 * (n // 6)]
+    return ss.make_step_signal(means, lengths, seed=seed)[0]
+
+
+class TestPrunedSuffixCosts:
+    """The pruned kernel against the dense layer-outer reference, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bit_identical_under_offsets_and_block_sizes(self, data):
+        n = data.draw(st.integers(2, 90))
+        v = data.draw(awkward_values(n)) + data.draw(st.sampled_from([0.0, 1e4, 1e6]))
+        h = data.draw(st.integers(1, max(1, n // 3)))
+        jmax = data.draw(st.integers(1, n // h))
+        tri = ss.build_rss_triangle(annual(v), h)
+        with mock.patch.object(dating, "_BLOCK_STARTS", data.draw(st.sampled_from([1, 3, 64]))):
+            assert np.array_equal(_suffix_costs(tri, jmax), layer_outer_suffix_costs(tri, jmax))
+
+    @pytest.mark.parametrize("n, h", [(300, 10), (600, 30)])
+    @pytest.mark.parametrize("offset", [1e5, 1e6, 3e6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_where_the_snap_binds(self, n, h, offset, seed):
+        # at these offsets _span_rss snaps long spans to 0, so a margin
+        # without the snap term, or spans taken as never snapped, prune winners
+        s = six_regimes(n, seed, offset)
+        for values in (s.values, np.round(s.values)):
+            tri = ss.build_rss_triangle(annual(values), h)
+            assert np.array_equal(_suffix_costs(tri, 9), layer_outer_suffix_costs(tri, 9))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_identical_when_squares_underflow(self, seed):
+        # at this scale y^2 is subnormal and its rounding is absolute, not
+        # relative to the values; the margin's floor has to cover it
+        v = np.random.default_rng(seed).normal(size=60) * 1e-162
+        for h in (5, 9):
+            tri = ss.build_rss_triangle(annual(v), h)
+            with mock.patch.object(dating, "_BLOCK_STARTS", 3):
+                assert np.array_equal(_suffix_costs(tri, 4), layer_outer_suffix_costs(tri, 4))
+
+    def test_evaluates_under_40_percent_of_the_dense_cells(self, monkeypatch):
+        tri = ss.build_rss_triangle(six_regimes(4000, 0), 200)
+        cells = {"pruned": 0, "dense": 0}
+
+        def counting(key, inner):
+            def wrapped(s, i, j):
+                out = inner(s, i, j)
+                cells[key] += np.size(out)
+                return out
+            return wrapped
+
+        monkeypatch.setattr(dating, "_span_rss", counting("pruned", dating._span_rss))
+        monkeypatch.setattr(sys.modules[__name__], "_span_rss", counting("dense", _span_rss))
+        assert np.array_equal(_suffix_costs(tri, 9), layer_outer_suffix_costs(tri, 9))
+        assert cells["pruned"] < 0.4 * cells["dense"], cells
+
+    def test_table_over_budget_is_a_data_error(self):
+        tri = ss.build_rss_triangle(annual(np.arange(12000.0)), 1)
+        with pytest.raises(ss.DataError, match="--max-breaks"):
+            ss.select_breaks_bic(tri, 11999)
 
 
 class TestBicSelection:

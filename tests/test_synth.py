@@ -42,3 +42,15 @@ def test_invalid_specs():
         ss.make_step_signal([1], [10], noise="ar1", rho=1.5)
     with pytest.raises(ValueError):
         ss.make_step_signal([1], [10], noise="cauchy")
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"sigma": float("nan")}, "sigma"),
+    ({"sigma": float("inf")}, "sigma"),
+    ({"means": [0.0, float("nan")]}, "means"),
+    ({"means": [float("-inf"), 1.0]}, "means"),
+])
+def test_non_finite_spec_names_its_parameter(kwargs, name):
+    spec = {"means": [0.0, 5.0], "lengths": [10, 10], "sigma": 1.0, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        ss.make_step_signal(**spec)
