@@ -51,7 +51,7 @@ from .edivisive import (
     e_divisive,
     permutation_test,
 )
-from .seriesio import CsvSpec, monthly_to_quarterly, read_csv, write_csv
+from .seriesio import monthly_to_quarterly, read_csv, write_csv
 from .synth import make_step_signal
 
 __version__ = "0.1.0"
@@ -95,7 +95,6 @@ __all__ = [
     "best_split",
     "e_divisive",
     "permutation_test",
-    "CsvSpec",
     "monthly_to_quarterly",
     "read_csv",
     "write_csv",

@@ -10,29 +10,23 @@ documented in docs/formats.md.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .dating import build_rss_triangle, fitted_step, select_breaks_bic
 from .edivisive import EdivConfig, e_divisive
 from .fluctuation import (
-    REC_CUSUM_LAMBDA,
-    FluctuationProcess,
     build_process,
-    brownian_bridge_sup_quantile,
     long_run_variance,
     mosum_process,
     plain_variance,
     sup_abs_test,
 )
 from .series import DataError, Segmentation, TimeSeries, UnsupportedError, deflate, log_transform, returns
-from .seriesio import CsvSpec, monthly_to_quarterly, read_csv
+from .seriesio import monthly_to_quarterly, read_csv
 from .synth import make_step_signal
 from .wbs import WbsConfig, wbs_segment
 
@@ -76,9 +70,8 @@ def _lrv_bandwidth_arg(text: str):
             f"expected an integer lag or 'auto', got {text!r}") from None
 
 
-def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
-    if with_input:
-        p.add_argument("input", help="series CSV (DATE column plus a value column)")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help="series CSV (DATE column plus a value column)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument("--plot", help="write plot-ready CSV here")
     p.add_argument("--seed", type=int, default=0, help="seed for every random choice")
@@ -126,31 +119,26 @@ def _parse_min_seg(text: str | None, n: int, default: int, method: str) -> int:
     return value
 
 
-def _apply_transforms(series: TimeSeries, args) -> tuple[TimeSeries, list[list]]:
-    chain = args.transforms or []
+def _load(args) -> tuple[TimeSeries, dict]:
+    """Read the input and apply its transforms in flag order.
+
+    Returns the series and the report's input block.
+    """
+    series = read_csv(args.input)
     applied: list[list] = []
-    for step in chain:
-        if step[0] == "log":
+    for tag, *arg in args.transforms or ():
+        if tag == "log":
             series = log_transform(series)
-            applied.append(["log"])
-        elif step[0] == "deflate":
-            deflator = read_csv(step[1], CsvSpec())
-            base = args.deflate_base
-            series = deflate(series, deflator, base=base)
-            applied.append(["deflate", step[1], base])
-        elif step[0] == "returns":
-            kind = "abs_log_return" if step[1] == "abs" else "log_return"
-            series = returns(series, kind)
-            applied.append(["returns", step[1]])
-        elif step[0] == "quarterly":
-            series = monthly_to_quarterly(series, how=step[1])
-            applied.append(["quarterly", step[1]])
-    return series, applied
-
-
-def _input_block(path: str, series: TimeSeries, applied: list[list]) -> dict:
-    return {
-        "path": path,
+        elif tag == "deflate":
+            series = deflate(series, read_csv(arg[0]), base=args.deflate_base)
+            arg.append(args.deflate_base)
+        elif tag == "returns":
+            series = returns(series, "abs_log_return" if arg[0] == "abs" else "log_return")
+        else:
+            series = monthly_to_quarterly(series, how=arg[0])
+        applied.append([tag, *arg])
+    return series, {
+        "path": args.input,
         "transforms": applied,
         "n": series.n,
         "start": series.period_label(1),
@@ -159,26 +147,37 @@ def _input_block(path: str, series: TimeSeries, applied: list[list]) -> dict:
     }
 
 
-def _report(input_block: dict | None, method: str, config: dict, results: dict) -> dict:
+def _write(path: str | None, text: str) -> None:
+    """Write text to path, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _csv(header: list[str], rows) -> str:
+    """CSV text; no field written here needs quoting."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+def _emit(out: str | None, input_block: dict, method: str, config: dict,
+          results: dict) -> None:
     doc = {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "stepscan", "version": __version__},
         "method": method,
         "config": config,
         "results": results,
+        "input": input_block,
     }
-    if input_block is not None:
-        doc["input"] = input_block
-    return doc
+    _write(out, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _fit_rows(series: TimeSeries, fits: list[TimeSeries]):
+    """(date, value, fitted...) per observation."""
+    dates = (series.period_date(i).isoformat() for i in range(1, series.n + 1))
+    return zip(dates, series.values.tolist(), *(f.values.tolist() for f in fits))
 
 
 def _finite(x: float | None) -> float | str | None:
@@ -207,23 +206,14 @@ def _variance_block(v) -> dict:
             "bandwidth": v.bandwidth, "clamped": v.clamped}
 
 
-def _write_plot(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def cmd_test(args) -> int:
-    series = read_csv(args.input, CsvSpec())
-    series, applied = _apply_transforms(series, args)
+    series, input_block = _load(args)
     if args.variance == "long-run":
         scale = long_run_variance(series, args.lrv_bandwidth)
     else:
         scale = plain_variance(series)
 
     kind = args.method.replace("-", "_")
-    process: FluctuationProcess
     if kind == "mosum":
         process = mosum_process(series, args.mosum_bandwidth, scale)
     else:
@@ -248,21 +238,11 @@ def cmd_test(args) -> int:
         "level": result.level,
         "variance": _variance_block(scale),
     }
-    _emit(_report(_input_block(args.input, series, applied), args.method, config, results),
-          args.out)
-
+    _emit(args.out, input_block, args.method, config, results)
     if args.plot:
-        t = process.times
-        if process.kind == "ols_cusum":
-            c = brownian_bridge_sup_quantile(args.level)
-            upper = np.full_like(t, c)
-        elif process.kind == "rec_cusum":
-            lam = REC_CUSUM_LAMBDA[args.level]
-            upper = lam * (1.0 + 2.0 * t)
-        else:
-            upper = np.full_like(t, float(args.critical))
-        rows = zip(t.tolist(), process.path.tolist(), upper.tolist(), (-upper).tolist())
-        _write_plot(args.plot, ["t", "process", "boundary_upper", "boundary_lower"], rows)
+        rows = zip(process.times.tolist(), process.path.tolist(), result.upper.tolist(),
+                   (-result.upper).tolist())
+        _write(args.plot, _csv(["t", "process", "boundary_upper", "boundary_lower"], rows))
     return 0
 
 
@@ -287,7 +267,7 @@ def _run_one_method(series: TimeSeries, method: str, args) -> tuple[Segmentation
                   "threshold_constant": cfg.threshold_constant,
                   "max_breaks": cfg.max_breaks, "min_len": cfg.min_len,
                   "seed": cfg.seed}
-    elif method == "edivisive":
+    else:  # edivisive; callers pass only _MIN_SEG_FLOOR keys
         min_size = _parse_min_seg(args.min_seg, n, 30, method)
         cfg = EdivConfig(min_size=min_size, alpha=args.alpha,
                          sig_level=args.level,
@@ -298,23 +278,16 @@ def _run_one_method(series: TimeSeries, method: str, args) -> tuple[Segmentation
                   "alpha": cfg.alpha, "sig_level": cfg.sig_level,
                   "num_permutations": cfg.num_permutations,
                   "max_breaks": cfg.max_breaks, "seed": cfg.seed}
-    else:
-        raise UnsupportedError(f"unknown segmentation method {method!r}")
     return seg, config
 
 
 def cmd_segment(args) -> int:
-    series = read_csv(args.input, CsvSpec())
-    series, applied = _apply_transforms(series, args)
+    series, input_block = _load(args)
     seg, config = _run_one_method(series, args.method, args)
-    results = _segmentation_results(series, seg)
-    _emit(_report(_input_block(args.input, series, applied), args.method, config, results),
-          args.out)
+    _emit(args.out, input_block, args.method, config, _segmentation_results(series, seg))
     if args.plot:
-        fit = fitted_step(series, seg)
-        rows = ((series.period_date(i).isoformat(), repr(float(series.values[i - 1])),
-                 repr(float(fit.values[i - 1]))) for i in range(1, series.n + 1))
-        _write_plot(args.plot, ["date", "value", "fitted"], rows)
+        rows = _fit_rows(series, [fitted_step(series, seg)])
+        _write(args.plot, _csv(["date", "value", "fitted"], rows))
     return 0
 
 
@@ -329,14 +302,13 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise UnsupportedError("compare needs at least two methods, e.g. --methods dp,edivisive")
-    series = read_csv(args.input, CsvSpec())
-    series, applied = _apply_transforms(series, args)
-
-    runs: dict[str, tuple[Segmentation, dict]] = {}
-    for m in methods:
-        if m in runs:
+    for i, m in enumerate(methods):
+        if m not in _MIN_SEG_FLOOR:
+            raise UnsupportedError(f"unknown segmentation method {m!r}")
+        if m in methods[:i]:
             raise UnsupportedError(f"method {m!r} listed twice")
-        runs[m] = _run_one_method(series, m, args)
+    series, input_block = _load(args)
+    runs = {m: _run_one_method(series, m, args) for m in methods}
 
     pairwise = []
     for i, ma in enumerate(methods):
@@ -362,17 +334,10 @@ def cmd_compare(args) -> int:
         "methods": {m: _segmentation_results(series, runs[m][0]) for m in methods},
         "pairwise": pairwise,
     }
-    _emit(_report(_input_block(args.input, series, applied), "compare", config, results),
-          args.out)
+    _emit(args.out, input_block, "compare", config, results)
     if args.plot:
-        fits = {m: fitted_step(series, runs[m][0]) for m in methods}
-        header = ["date", "value"] + [f"fitted_{m}" for m in methods]
-        rows = (
-            [series.period_date(i).isoformat(), repr(float(series.values[i - 1]))]
-            + [repr(float(fits[m].values[i - 1])) for m in methods]
-            for i in range(1, series.n + 1)
-        )
-        _write_plot(args.plot, header, rows)
+        rows = _fit_rows(series, [fitted_step(series, runs[m][0]) for m in methods])
+        _write(args.plot, _csv(["date", "value"] + [f"fitted_{m}" for m in methods], rows))
     return 0
 
 
@@ -386,18 +351,10 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         raise UnsupportedError(f"invalid signal spec: {exc}") from None
 
-    lines = ["DATE,value"]
-    lines += [f"{series.period_date(i).isoformat()},{float(series.values[i - 1])!r}"
-              for i in range(1, series.n + 1)]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, _csv(["DATE", "value"], _fit_rows(series, [])))
     if args.truth:
         rows = [(b, series.period_date(b).isoformat()) for b in true_breaks]
-        _write_plot(args.truth, ["break_index", "break_date"], rows)
+        _write(args.truth, _csv(["break_index", "break_date"], rows))
     return 0
 
 
@@ -436,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_syn = sub.add_parser("synth", help="generate a benchmark step signal")
-    _add_common(p_syn, with_input=False)
+    p_syn.add_argument("--out", help="write the CSV here instead of stdout")
+    p_syn.add_argument("--seed", type=int, default=0, help="seed for the noise")
     p_syn.add_argument("--means", required=True, help="comma-separated segment means")
     p_syn.add_argument("--lengths", required=True, help="comma-separated segment lengths")
     p_syn.add_argument("--noise", choices=["gaussian", "ar1"], default="gaussian")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import _EPS, DataError, Segmentation, TimeSeries, _span_rss, segmentation_from_breaks
+from .series import _EPS, Segmentation, TimeSeries, _check_budget, _span_rss, segmentation_from_breaks
 
 __all__ = [
     "RssTriangle",
@@ -60,8 +60,6 @@ def build_rss_triangle(s: TimeSeries, min_len: int) -> RssTriangle:
 
 # Starts per block of the pruned Bellman sweep.
 _BLOCK_STARTS = 96
-# Largest cost table the dynamic program allocates (1 GiB).
-_TABLE_BUDGET_BYTES = 1 << 30
 # Mean intervals are widened by this share of the largest mean magnitude
 # in the domain, far more than the few-ulp rounding of their arithmetic.
 _WIDEN = 2.0 ** -40
@@ -124,13 +122,9 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     spans and nothing can be dropped.
     """
     s, n, h = tri.series, tri.n, tri.min_len
-    planned = 8 * (jmax + 1) * (n + 2)
-    if planned > _TABLE_BUDGET_BYTES:
-        raise DataError(
-            f"the dynamic program would need a {planned:,}-byte cost table for"
-            f" {jmax - 1} breaks over {n} observations, over its"
-            f" {_TABLE_BUDGET_BYTES:,}-byte budget; lower --max-breaks or raise --min-seg"
-        )
+    _check_budget(8 * (jmax + 1) * (n + 2), "the dynamic program",
+                  f"cost table for {jmax - 1} breaks over {n} observations",
+                  "lower --max-breaks or raise --min-seg")
     D = np.full((jmax + 1, n + 2), np.inf)
     D[1, 1 : n - h + 2] = _span_rss(s, np.arange(1, n - h + 2), n)
     if jmax < 2:

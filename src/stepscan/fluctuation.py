@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,7 +101,8 @@ class TestResult:
 
     p_value is None exactly for MOSUM crossing checks, where only a
     user-supplied critical value is available; for the sup tests,
-    crossed is equivalent to p_value < level.
+    crossed is equivalent to p_value < level. upper holds the boundary
+    at each time of the tested path; the lower boundary is -upper.
     """
 
     statistic: float
@@ -109,6 +110,7 @@ class TestResult:
     crossed: bool
     boundary: str
     level: float
+    upper: np.ndarray = field(repr=False, compare=False)
 
 
 def recursive_residuals(s: TimeSeries) -> np.ndarray:
@@ -294,7 +296,7 @@ def sup_abs_test(process: FluctuationProcess, level: float = 0.05,
         bound = brownian_bridge_sup_quantile(level)
         return TestResult(statistic=stat, p_value=p, crossed=p < level,
                           boundary=f"|path| = {bound:.4f} (constant, Brownian bridge sup)",
-                          level=level)
+                          level=level, upper=np.full_like(process.times, bound))
 
     if process.kind == "rec_cusum":
         if level not in REC_CUSUM_LAMBDA:
@@ -303,12 +305,12 @@ def sup_abs_test(process: FluctuationProcess, level: float = 0.05,
                 f" {sorted(REC_CUSUM_LAMBDA)}, not {level}"
             )
         lam_level = REC_CUSUM_LAMBDA[level]
-        ratios = np.abs(process.path) / (1.0 + 2.0 * process.times)
-        stat = float(np.max(ratios))
+        slope = 1.0 + 2.0 * process.times
+        stat = float(np.max(np.abs(process.path) / slope))
         p = brownian_motion_crossing_probability(stat)
         return TestResult(statistic=stat, p_value=p, crossed=p < level,
                           boundary=f"+/- {lam_level} * (1 + 2t) (Brownian motion crossing)",
-                          level=level)
+                          level=level, upper=lam_level * slope)
 
     if process.kind == "mosum":
         if critical is None:
@@ -318,6 +320,7 @@ def sup_abs_test(process: FluctuationProcess, level: float = 0.05,
             )
         stat = float(np.max(np.abs(process.path)))
         return TestResult(statistic=stat, p_value=None, crossed=stat > critical,
-                          boundary=f"+/- {critical} (user-supplied constant)", level=level)
+                          boundary=f"+/- {critical} (user-supplied constant)", level=level,
+                          upper=np.full_like(process.times, float(critical)))
 
     raise UnsupportedError(f"no test implemented for process kind {process.kind!r}")

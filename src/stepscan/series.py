@@ -55,6 +55,17 @@ class UnsupportedError(Exception):
     """Explicitly unsupported option combination, never a silent fallback."""
 
 
+# Largest working set a dating method plans to allocate (1 GiB).
+_BUDGET_BYTES = 1 << 30
+
+
+def _check_budget(planned: int, owner: str, what: str, fix: str) -> None:
+    """Raise DataError, before anything is allocated, when planned bytes exceed the budget."""
+    if planned > _BUDGET_BYTES:
+        raise DataError(f"{owner} would need a {planned:,}-byte {what}, over its"
+                        f" {_BUDGET_BYTES:,}-byte budget; {fix}")
+
+
 _VALID_FREQS = (1, 4, 12)
 
 

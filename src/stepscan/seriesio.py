@@ -1,9 +1,9 @@
 """CSV ingestion and calendar plumbing for series files.
 
-Reads FRED-style CSVs (header row, ISO-8601 date column, decimal
+Reads FRED-style CSVs (header row, ISO-8601 DATE column, decimal
 values), tolerates missing-value markers only at the ends of the span,
 and infers the calendar (annual/quarterly/monthly/daily) from the date
-spacing unless told otherwise.
+spacing.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,27 +20,12 @@ from .series import (
     ParseError,
     PeriodIndex,
     TimeSeries,
-    UnsupportedError,
 )
 
-__all__ = ["CsvSpec", "read_csv", "write_csv", "monthly_to_quarterly"]
+__all__ = ["read_csv", "write_csv", "monthly_to_quarterly"]
 
-_FREQ_NAMES = {"annual": 1, "quarterly": 4, "monthly": 12}
-
-
-@dataclass(frozen=True)
-class CsvSpec:
-    """How to interpret a series CSV.
-
-    value_column None means the second column; frequency "auto" infers
-    the calendar from the date spacing. Rows whose value matches a
-    missing marker are dropped at the ends of the span only.
-    """
-
-    date_column: str = "DATE"
-    value_column: str | None = None
-    frequency: str = "auto"
-    missing_markers: frozenset[str] = frozenset({".", "NA", ""})
+# Values that mark a missing observation.
+_MISSING = frozenset({".", "NA", ""})
 
 
 def _infer_frequency(dates: list[dt.date]) -> int | None:
@@ -66,9 +50,12 @@ def _period_start(date: dt.date, freq: int) -> tuple[int, int]:
     return date.year, date.month
 
 
-def read_csv(path: str, spec: CsvSpec | None = None) -> TimeSeries:
-    """Parse a series file; interior gaps are an error, end gaps are trimmed."""
-    spec = spec or CsvSpec()
+def read_csv(path: str, value_column: str | None = None) -> TimeSeries:
+    """Parse a series file; interior gaps are an error, end gaps are trimmed.
+
+    Dates come from the DATE column, values from value_column or, by
+    default, the second column; both names match in any case.
+    """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -77,13 +64,13 @@ def read_csv(path: str, spec: CsvSpec | None = None) -> TimeSeries:
             raise ParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         folded = [h.casefold() for h in header]
-        if spec.date_column.casefold() not in folded:
-            raise ParseError(f"{path}: no {spec.date_column!r} column in header {header}")
-        date_col = folded.index(spec.date_column.casefold())
-        if spec.value_column is not None:
-            if spec.value_column.casefold() not in folded:
-                raise ParseError(f"{path}: no {spec.value_column!r} column in header {header}")
-            value_col = folded.index(spec.value_column.casefold())
+        if "date" not in folded:
+            raise ParseError(f"{path}: no 'DATE' column in header {header}")
+        date_col = folded.index("date")
+        if value_column is not None:
+            if value_column.casefold() not in folded:
+                raise ParseError(f"{path}: no {value_column!r} column in header {header}")
+            value_col = folded.index(value_column.casefold())
         else:
             if len(header) < 2:
                 raise ParseError(f"{path}: need at least two columns, got {header}")
@@ -98,7 +85,7 @@ def read_csv(path: str, spec: CsvSpec | None = None) -> TimeSeries:
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad date {row!r}: {exc}") from None
             raw = row[value_col].strip() if value_col < len(row) else ""
-            if raw in spec.missing_markers:
+            if raw in _MISSING:
                 rows.append((date, None))
                 continue
             try:
@@ -125,15 +112,7 @@ def read_csv(path: str, spec: CsvSpec | None = None) -> TimeSeries:
         if not a < b:
             raise ParseError(f"{path}: dates not strictly increasing at {b.isoformat()}")
 
-    if spec.frequency == "auto":
-        freq = _infer_frequency(dates)
-    elif spec.frequency in _FREQ_NAMES:
-        freq = _FREQ_NAMES[spec.frequency]
-    elif spec.frequency == "daily":
-        freq = None
-    else:
-        raise UnsupportedError(f"unknown frequency {spec.frequency!r}")
-
+    freq = _infer_frequency(dates)
     label = header[value_col]
     if freq is None:
         return TimeSeries(values, DateIndex(tuple(dates)), label=label)
@@ -141,12 +120,11 @@ def read_csv(path: str, spec: CsvSpec | None = None) -> TimeSeries:
     return TimeSeries(values, PeriodIndex(year, sub, freq), label=label)
 
 
-def write_csv(s: TimeSeries, path: str, value_name: str | None = None) -> None:
-    """Write a series as DATE,VALUE rows; read_csv round-trips the result."""
-    name = value_name or (s.label if s.label else "VALUE")
+def write_csv(s: TimeSeries, path: str) -> None:
+    """Write a series as DATE,<label> rows; read_csv round-trips the result."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["DATE", name])
+        writer.writerow(["DATE", s.label or "VALUE"])
         for i in range(1, s.n + 1):
             writer.writerow([s.period_date(i).isoformat(), repr(float(s.values[i - 1]))])
 

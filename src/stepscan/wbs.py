@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DataError, Segmentation, TimeSeries, segmentation_from_breaks
+from .series import DataError, Segmentation, TimeSeries, _check_budget, segmentation_from_breaks
 
 __all__ = ["WbsConfig", "wbs_segment", "mad_scale"]
 
@@ -63,6 +63,10 @@ def mad_scale(values: np.ndarray) -> float:
 # length are live at once, so the scan's memory stays near 6 MB whatever
 # the series length or the number of intervals.
 _BLOCK_PAIRS = 1 << 16
+# Bytes per drawn interval: starts, ends and split ranges, plus the five
+# per-interval arrays of _best_per_interval and one temporary (the draw
+# itself peaks near 56).
+_INTERVAL_BYTES = 72
 
 
 def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -153,6 +157,15 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
     n = s.n
     if n < 2 * cfg.min_len:
         raise DataError(f"need at least {2 * cfg.min_len} observations, got {n}")
+    span_starts = n - 2 * cfg.min_len + 1
+    total = span_starts * (span_starts + 1) // 2
+    count = min(cfg.num_intervals, total)
+    # numpy's choice without replacement shuffles all `total` ranks
+    # (8 bytes each) once it draws more than total / 50 of them
+    planned = _INTERVAL_BYTES * count + (8 * total if count > total // 50 else 0)
+    _check_budget(planned, "wild binary segmentation",
+                  f"working set for {count:,} intervals over {n} observations",
+                  "lower --intervals")
     rng = np.random.default_rng(cfg.seed)
     starts, ends = _draw_intervals(n, cfg.num_intervals, cfg.min_len, rng)
     sigma = mad_scale(v)

@@ -4,6 +4,7 @@ import importlib
 import pkgutil
 
 import pytest
+from conftest import REPO
 
 import stepscan
 
@@ -18,3 +19,12 @@ def test_every_exported_name_resolves(module):
     namespace: dict = {}
     exec(f"from {module.__name__} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    """The benchmark's tracer wraps stepscan functions by name; each must exist."""
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    layers = importlib.import_module("layers")
+    missing = [f"{module.__name__}.{attr}" for module, attr, *_ in layers.TARGETS
+               if not callable(getattr(module, attr, None))]
+    assert missing == []

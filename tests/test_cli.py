@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -133,7 +136,7 @@ class TestCmdSegment:
         plot = tmp_path / "plot.csv"
         main(["segment", "--method", "dp", "--min-seg", "15", "--max-breaks", "3", NILE,
               "--out", str(tmp_path / "r.json"), "--plot", str(plot)])
-        back = ss.read_csv(str(plot), ss.CsvSpec(date_column="date", value_column="value"))
+        back = ss.read_csv(str(plot), value_column="value")  # "date" matches DATE
         original = ss.read_csv(NILE)
         np.testing.assert_array_equal(back.values, original.values)
         assert back.index.stamp(1) == original.index.stamp(1)
@@ -206,6 +209,16 @@ class TestCmdCompare:
         assert main(["compare", "--methods", "dp,wbs", "--min-seg", "0", NILE]) == 2
         assert "--min-seg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("methods,message", [
+        ("foo,dp", "unknown segmentation method 'foo'"),
+        ("edivisive,foo", "unknown segmentation method 'foo'"),
+        ("dp,dp", "method 'dp' listed twice"),
+    ])
+    def test_methods_checked_before_reading_input(self, capsys, methods, message):
+        # a missing input would exit 1 if it were read first
+        assert main(["compare", "--methods", methods, "no-such.csv"]) == 2
+        assert capsys.readouterr().err == f"stepscan: {message}\n"
+
 
 class TestCmdSynth:
     def test_reproducible_output(self, tmp_path):
@@ -239,6 +252,17 @@ class TestCmdSynth:
     def test_invalid_spec_exits_2(self, capsys):
         assert main(["synth", "--means", "0,5", "--lengths", "20"]) == 2
         assert main(["synth", "--means", "0", "--lengths", "-4"]) == 2
+
+    @pytest.mark.parametrize("flag", [["--plot", "p.csv"], ["--log"], ["--deflate", "d.csv"],
+                                      ["--returns", "abs"], ["--quarterly", "mean"],
+                                      ["--deflate-base", "2000"]])
+    def test_input_flags_are_rejected(self, capsys, monkeypatch, tmp_path, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(["synth", "--means", "0,1", "--lengths", "3,3", *flag])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags, name", [
         (["--means", "0,5", "--sigma", "nan"], "sigma"),
@@ -335,6 +359,38 @@ class TestProcessLevelContract:
         assert "1,152,288,016-byte" in lines[0]
         assert "--max-breaks" in lines[0] and "--min-seg" in lines[0]
 
+    @pytest.mark.parametrize("intervals,planned", [
+        # 72 bytes per drawn interval, plus 8 per distinct interval (2.0e8
+        # of them) that the draw shuffles once it takes over 1/50 of them
+        ("100000000", "8,799,600,024"),
+        ("5000000", "1,959,600,024"),
+    ])
+    def test_wbs_intervals_over_budget_exit_1_before_allocating(self, tmp_path, intervals,
+                                                               planned):
+        # the address-space cap turns a missed check into a quick MemoryError
+        n = 20000
+        path = tmp_path / "long.csv"
+        rows = ["DATE,value"] + [f"{1000 + i // 12}-{i % 12 + 1:02d}-01,{i % 7}"
+                                 for i in range(n)]
+        path.write_text("\n".join(rows) + "\n")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "stepscan.cli", "segment", "--method", "wbs",
+             "--intervals", intervals, str(path)],
+            capture_output=True, text=True, cwd=str(REPO), env=env, timeout=60,
+            preexec_fn=cap_address_space)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert f"{planned}-byte" in lines[0] and f"{int(intervals):,} intervals" in lines[0]
+        assert "--intervals" in lines[0]
+
     @pytest.mark.parametrize("argv", [
         ["segment", "--method", "dp"],
         ["segment", "--method", "wbs"],
@@ -353,3 +409,72 @@ class TestProcessLevelContract:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("stepscan: values too large"), proc.stderr
+
+
+_OIL_CHAIN = ["--quarterly", "mean", "--deflate", "fixtures/gdpdef.csv",
+              "--deflate-base", "2009", "--log", "fixtures/oilprice_raw.csv"]
+
+# sha256 of (JSON report, --plot CSV). A change that moves one of these
+# changes output bytes on purpose and says so. Input paths are relative
+# because the report records the path as given.
+_GOLDEN_RUNS = {
+    "test-ols-cusum": (
+        ["test", "--method", "ols-cusum", "fixtures/nile.csv"],
+        ("56d495f22333cac53218987af7e000de5aa4804e4ad80d364c54a6878c56918c",
+         "ce0b61da95410d0366a125bfd8b250e1fac9ebd7b9f1cf99208ecc52fa843e2f")),
+    "test-rec-cusum-long-run": (
+        ["test", "--method", "rec-cusum", "--variance", "long-run", "fixtures/nile.csv"],
+        ("5123ed6f574c71b49ae759be28db2a470037bf196aa2a42c6cb7c63b742a12bb",
+         "22bc042e15ccba037c1fe6a391d3142f49724c0f69ade3f3f500c6ec9d50dee0")),
+    "test-mosum": (
+        ["test", "--method", "mosum", "--critical", "3", "fixtures/nile.csv"],
+        ("dcabc1043dbfa8b164ff779c0a139f299f55cea7cfffdd0354721a8cea701d95",
+         "c259f67327d42455b09c22af1818b35a9d43f0aeb56307cd2a6b8e37e71ca922")),
+    "segment-dp": (
+        ["segment", "--method", "dp", "--min-seg", "15", "--max-breaks", "5",
+         "fixtures/nile.csv"],
+        ("109dcb2c2d0ebaebfda9dc61fd09e6ace3cffd6f09c813014c913c103fcb8d43",
+         "245cafa2e60a36511693c288a479ba7f0c3ed8f5d3e57758110a128b9d3a8798")),
+    "segment-wbs": (
+        ["segment", "--method", "wbs", "fixtures/nile.csv"],
+        ("8ead6204192e36866921409e03b790fe8a791704d01dfd4a96b25c1a9b311703",
+         "b17dab0ee88c50f281bd8634ea2af401dcc6b42a0234588c410dc7896e64273a")),
+    "segment-edivisive": (
+        ["segment", "--method", "edivisive", "--alpha", "2", "--min-seg", "15",
+         "fixtures/nile.csv"],
+        ("da33283b26831172ce5024431cf42470a7b9f1a0fe4a7699c37ccd02c82b7223",
+         "245cafa2e60a36511693c288a479ba7f0c3ed8f5d3e57758110a128b9d3a8798")),
+    "compare-oil": (
+        ["compare", "--methods", "dp,edivisive", "--min-seg", "10", "--max-breaks", "15",
+         "--alpha", "2", *_OIL_CHAIN],
+        ("c8b7415896a984764b5474c91cb6aeb04a29dbd23c9297f525f47fc52cfdc520",
+         "d0d6924972817b0d12dec2d8110e6403562290619e4cf85b127fc22b5d9ce177")),
+}
+_SYNTH = ["synth", "--means", "0,5,1", "--lengths", "10,10,10", "--seed", "3"]
+# sha256 of synth's series CSV and --truth CSV
+_GOLDEN_SYNTH = ("8089a429e5da0e6096783ff73ca7c6adfe16b8bc7bee3292fd3e61f1565229ce",
+                 "aae8fd768ffccc1ba62d0e73cd644a3ca7970fd9a1d8d47f0bc75f940667b9e4")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenBytes:
+    """Reports, plot files and synth output keep their exact bytes."""
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
+    def test_report_and_plot_bytes(self, monkeypatch, tmp_path, capsys, name):
+        argv, (report_sha, plot_sha) = _GOLDEN_RUNS[name]
+        monkeypatch.chdir(REPO)
+        out, plot = tmp_path / "report.json", tmp_path / "plot.csv"
+        assert main([*argv, "--out", str(out), "--plot", str(plot)]) == 0
+        assert (_sha256(out.read_bytes()), _sha256(plot.read_bytes())) == (report_sha, plot_sha)
+
+    def test_synth_bytes(self, tmp_path, capsys):
+        out, truth = tmp_path / "sig.csv", tmp_path / "truth.csv"
+        assert main([*_SYNTH, "--out", str(out), "--truth", str(truth)]) == 0
+        assert (_sha256(out.read_bytes()), _sha256(truth.read_bytes())) == _GOLDEN_SYNTH
+        capsys.readouterr()
+        assert main(_SYNTH) == 0
+        assert _sha256(capsys.readouterr().out.encode()) == _GOLDEN_SYNTH[0]

@@ -225,6 +225,20 @@ class TestSupAbsTest:
         assert res.p_value is None
         assert not res.crossed
 
+    def test_upper_boundary_follows_the_path_times(self):
+        s = annual([1.0, 5.0, 2.0, 4.0, 3.0, 0.0])
+        t = np.arange(7) / 6
+        ols = ss.sup_abs_test(ss.build_process(s, "ols_cusum"), 0.05)
+        np.testing.assert_array_equal(ols.upper, [ss.brownian_bridge_sup_quantile(0.05)] * 7)
+        rec = ss.sup_abs_test(ss.build_process(s, "rec_cusum"), 0.01)
+        np.testing.assert_array_equal(rec.upper, REC_CUSUM_LAMBDA[0.01] * (1.0 + 2.0 * t[:6]))
+        p = ss.mosum_process(s, 0.5)
+        mosum = ss.sup_abs_test(p, 0.05, critical=3)
+        np.testing.assert_array_equal(mosum.upper, [3.0] * p.path.size)
+        # the boundary array stays out of equality and hashing
+        assert ols == ss.sup_abs_test(ss.build_process(s, "ols_cusum"), 0.05)
+        assert hash(ols) == hash(ss.sup_abs_test(ss.build_process(s, "ols_cusum"), 0.05))
+
     def test_level_domain(self):
         p = ss.build_process(annual([1.0, 2.0, 3.0]), "ols_cusum")
         with pytest.raises(ValueError):

@@ -60,7 +60,7 @@ class TestReadCsv:
 
     def test_named_value_column(self, tmp_path):
         path = write(tmp_path, "DATE,a,b\n2000-01-01,1,10\n2001-01-01,2,20\n")
-        s = ss.read_csv(path, ss.CsvSpec(value_column="b"))
+        s = ss.read_csv(path, value_column="b")
         np.testing.assert_array_equal(s.values, [10.0, 20.0])
 
     def test_crlf_and_bom_tolerated(self, tmp_path):
