@@ -10,10 +10,12 @@ documented in docs/formats.md.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 import time
+from typing import Callable
 
 from . import __version__
 from .dating import build_rss_triangle, fitted_step, select_breaks_bic
@@ -180,14 +182,8 @@ def _fit_rows(series: TimeSeries, fits: list[TimeSeries]):
     return zip(dates, series.values.tolist(), *(f.values.tolist() for f in fits))
 
 
-def _finite(x: float | None) -> float | str | None:
-    if x is None:
-        return None
-    if x == float("-inf"):
-        return "-inf"
-    if x == float("inf"):
-        return "inf"
-    return x
+def _finite(x: float) -> float | str:
+    return "-inf" if x == float("-inf") else x
 
 
 def _segmentation_results(series: TimeSeries, seg: Segmentation) -> dict:
@@ -199,11 +195,6 @@ def _segmentation_results(series: TimeSeries, seg: Segmentation) -> dict:
         "min_len": seg.min_len,
         "criterion_trace": [[k, _finite(v)] for k, v in (seg.criterion_trace or ())],
     }
-
-
-def _variance_block(v) -> dict:
-    return {"value": v.value, "kind": v.kind, "kernel": v.kernel,
-            "bandwidth": v.bandwidth, "clamped": v.clamped}
 
 
 def cmd_test(args) -> int:
@@ -236,7 +227,7 @@ def cmd_test(args) -> int:
         "crossed": result.crossed,
         "boundary": result.boundary,
         "level": result.level,
-        "variance": _variance_block(scale),
+        "variance": dataclasses.asdict(scale),
     }
     _emit(args.out, input_block, args.method, config, results)
     if args.plot:
@@ -246,44 +237,45 @@ def cmd_test(args) -> int:
     return 0
 
 
-def _run_one_method(series: TimeSeries, method: str, args) -> tuple[Segmentation, dict]:
+def _configure(series: TimeSeries, method: str, args) -> tuple[Callable[[], Segmentation], dict]:
+    """The call that runs a method, and its report config; checks settings, runs nothing."""
     n = series.n
     if method == "dp":
         min_len = _parse_min_seg(args.min_seg, n, max(1, int(0.15 * n)), method)
         feasible = n // min_len - 1
         max_m = args.max_breaks if args.max_breaks is not None else min(5, feasible)
         tri = build_rss_triangle(series, min_len)
-        seg = select_breaks_bic(tri, max_m)
         config = {"method": "dp", "min_len": min_len, "max_breaks": max_m,
                   "seed": args.seed}
-    elif method == "wbs":
+        return lambda: select_breaks_bic(tri, max_m), config
+    if method == "wbs":
         min_len = _parse_min_seg(args.min_seg, n, 2, method)
         cfg = WbsConfig(num_intervals=args.intervals,
                         threshold_constant=args.threshold_c,
                         max_breaks=args.max_breaks, seed=args.seed,
                         min_len=min_len)
-        seg = wbs_segment(series, cfg)
         config = {"method": "wbs", "num_intervals": cfg.num_intervals,
                   "threshold_constant": cfg.threshold_constant,
                   "max_breaks": cfg.max_breaks, "min_len": cfg.min_len,
                   "seed": cfg.seed}
-    else:  # edivisive; callers pass only _MIN_SEG_FLOOR keys
-        min_size = _parse_min_seg(args.min_seg, n, 30, method)
-        cfg = EdivConfig(min_size=min_size, alpha=args.alpha,
-                         sig_level=args.level,
-                         num_permutations=args.permutations,
-                         seed=args.seed, max_breaks=args.max_breaks)
-        seg = e_divisive(series, cfg)
-        config = {"method": "edivisive", "min_size": cfg.min_size,
-                  "alpha": cfg.alpha, "sig_level": cfg.sig_level,
-                  "num_permutations": cfg.num_permutations,
-                  "max_breaks": cfg.max_breaks, "seed": cfg.seed}
-    return seg, config
+        return lambda: wbs_segment(series, cfg), config
+    # edivisive; callers pass only _MIN_SEG_FLOOR keys
+    min_size = _parse_min_seg(args.min_seg, n, 30, method)
+    cfg = EdivConfig(min_size=min_size, alpha=args.alpha,
+                     sig_level=args.level,
+                     num_permutations=args.permutations,
+                     seed=args.seed, max_breaks=args.max_breaks)
+    config = {"method": "edivisive", "min_size": cfg.min_size,
+              "alpha": cfg.alpha, "sig_level": cfg.sig_level,
+              "num_permutations": cfg.num_permutations,
+              "max_breaks": cfg.max_breaks, "seed": cfg.seed}
+    return lambda: e_divisive(series, cfg), config
 
 
 def cmd_segment(args) -> int:
     series, input_block = _load(args)
-    seg, config = _run_one_method(series, args.method, args)
+    run, config = _configure(series, args.method, args)
+    seg = run()
     _emit(args.out, input_block, args.method, config, _segmentation_results(series, seg))
     if args.plot:
         rows = _fit_rows(series, [fitted_step(series, seg)])
@@ -308,13 +300,15 @@ def cmd_compare(args) -> int:
         if m in methods[:i]:
             raise UnsupportedError(f"method {m!r} listed twice")
     series, input_block = _load(args)
-    runs = {m: _run_one_method(series, m, args) for m in methods}
+    # every method's settings are checked before any method runs
+    plans = {m: _configure(series, m, args) for m in methods}
+    segs = {m: plans[m][0]() for m in methods}
 
     pairwise = []
     for i, ma in enumerate(methods):
         for mb in methods[i + 1 :]:
-            ba = runs[ma][0].breaks
-            bb = runs[mb][0].breaks
+            ba = segs[ma].breaks
+            bb = segs[mb].breaks
             near_ab = _nearest(ba, bb)
             dists = [abs(x - y) for x, y in near_ab + _nearest(bb, ba)]
             matches = [
@@ -329,14 +323,14 @@ def cmd_compare(args) -> int:
                 "matches": matches,
             })
 
-    config = {m: runs[m][1] for m in methods}
+    config = {m: plans[m][1] for m in methods}
     results = {
-        "methods": {m: _segmentation_results(series, runs[m][0]) for m in methods},
+        "methods": {m: _segmentation_results(series, segs[m]) for m in methods},
         "pairwise": pairwise,
     }
     _emit(args.out, input_block, "compare", config, results)
     if args.plot:
-        rows = _fit_rows(series, [fitted_step(series, runs[m][0]) for m in methods])
+        rows = _fit_rows(series, [fitted_step(series, segs[m]) for m in methods])
         _write(args.plot, _csv(["date", "value"] + [f"fitted_{m}" for m in methods], rows))
     return 0
 

@@ -131,8 +131,6 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
         return D
     plan = _Plan.build(s, h, _BLOCK_STARTS)
     for j in range(2, jmax + 1):
-        if n - j * h + 1 < 1:
-            break
         _pruned_layer(s, h, D[j - 1], D[j], n - j * h + 1, plan)
     return D
 
@@ -360,7 +358,7 @@ def optimal_breaks(tri: RssTriangle, m: int) -> Segmentation:
             f"{m} breaks with min_len {tri.min_len} do not fit into {tri.n} observations"
         )
     breaks = [] if m == 0 else _reconstruct(tri, _suffix_costs(tri, m + 1), m)
-    return segmentation_from_breaks(tri.series, breaks, method="dp", min_len=tri.min_len)
+    return segmentation_from_breaks(tri.series, breaks, min_len=tri.min_len)
 
 
 def bic_value(n: int, rss: float, m: int) -> float:
@@ -393,8 +391,7 @@ def select_breaks_bic(tri: RssTriangle, max_m: int) -> Segmentation:
     trace = [(float(m), bic_value(tri.n, float(rss_by_m[m]), m)) for m in range(max_m + 1)]
     best_m = min(range(max_m + 1), key=lambda m: (trace[m][1], m))
     breaks = [] if best_m == 0 else _reconstruct(tri, D, best_m)
-    return segmentation_from_breaks(tri.series, breaks, method="dp",
-                                    min_len=tri.min_len, trace=trace)
+    return segmentation_from_breaks(tri.series, breaks, min_len=tri.min_len, trace=trace)
 
 
 def fitted_step(s: TimeSeries, seg: Segmentation) -> TimeSeries:

@@ -193,6 +193,6 @@ def e_divisive(s: TimeSeries, cfg: EdivConfig = EdivConfig()) -> Segmentation:
 
     accepted.sort(key=lambda t: t[0])
     return segmentation_from_breaks(
-        s, [b for b, _ in accepted], method="edivisive", min_len=cfg.min_size,
+        s, [b for b, _ in accepted], min_len=cfg.min_size,
         trace=[(float(b), p) for b, p in accepted],
     )

@@ -76,14 +76,12 @@ class FluctuationProcess:
     path[k] sits at time t = k / nobs. OLS-CUSUM paths start and end at
     exactly zero; Rec-CUSUM paths start at zero and carry nobs - 1
     increments; MOSUM paths hold moving sums of OLS residuals over a
-    window of floor(bandwidth * nobs) observations.
+    window of floor(bandwidth_fraction * nobs) observations.
     """
 
     path: np.ndarray
     kind: str
-    scale: VarianceEstimate
     nobs: int
-    bandwidth: float | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.path, dtype=float).copy()
@@ -201,7 +199,7 @@ def build_process(s: TimeSeries, kind: str,
     path = _scaled(resid, scale, s.n, cumulative=True)
     if kind == "ols_cusum":
         path[-1] = 0.0  # residuals sum to zero by construction; pin rounding
-    return FluctuationProcess(path=path, kind=kind, scale=scale, nobs=s.n)
+    return FluctuationProcess(path=path, kind=kind, nobs=s.n)
 
 
 def mosum_process(s: TimeSeries, bandwidth_fraction: float,
@@ -218,8 +216,7 @@ def mosum_process(s: TimeSeries, bandwidth_fraction: float,
     cum = np.concatenate(([0.0], np.cumsum(e)))
     sums = cum[h:] - cum[:-h]
     path = _scaled(sums, scale, s.n, cumulative=False)
-    return FluctuationProcess(path=path, kind="mosum", scale=scale, nobs=s.n,
-                              bandwidth=bandwidth_fraction)
+    return FluctuationProcess(path=path, kind="mosum", nobs=s.n)
 
 
 def brownian_bridge_sup_pvalue(x: float) -> float:

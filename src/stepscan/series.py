@@ -134,9 +134,6 @@ class DateIndex:
             if not a < b:
                 raise DataError(f"dates must be strictly increasing, got {a} before {b}")
 
-    def stamp(self, i: int) -> dt.date:
-        return self.dates[i - 1]
-
     def shifted(self, k: int) -> "DateIndex":
         return DateIndex(self.dates[k:])
 
@@ -242,15 +239,15 @@ def log_transform(s: TimeSeries) -> TimeSeries:
 
 
 def deflate(nominal: TimeSeries, deflator: TimeSeries,
-            base: int | tuple[int, int] | None = None) -> TimeSeries:
+            base: int | None = None) -> TimeSeries:
     """Divide a nominal series by a price deflator, rescaled to a base period.
 
     Both series must share a regular calendar (same frequency) and the
     deflator must cover the nominal span period-for-period; the deflator
     may be longer. The deflator is rescaled so its value at ``base``
-    equals 1: ``base`` is a (year, sub) period, a year (the mean over
-    that year's periods, e.g. ``base=2009`` for an index with base year
-    2009), or None for the first aligned period.
+    equals 1: ``base`` is a year (the mean over that year's periods,
+    e.g. ``base=2009`` for an index with base year 2009), or None for the
+    first aligned period.
     """
     if not (isinstance(nominal.index, PeriodIndex) and isinstance(deflator.index, PeriodIndex)):
         raise AlignmentError("deflation requires regular calendar indexes on both series")
@@ -268,11 +265,6 @@ def deflate(nominal: TimeSeries, deflator: TimeSeries,
 
     if base is None:
         base_value = float(aligned[0])
-    elif isinstance(base, tuple):
-        pos = deflator.index.position(base[0], base[1])
-        if not 1 <= pos <= deflator.n:
-            raise AlignmentError(f"base period {base} not covered by the deflator")
-        base_value = float(deflator.values[pos - 1])
     else:
         freq = deflator.index.freq
         positions = [deflator.index.position(int(base), q) for q in range(1, freq + 1)]
@@ -337,7 +329,6 @@ class Segmentation:
     breaks: tuple[int, ...]
     segment_means: tuple[float, ...]
     rss_total: float
-    method: str
     min_len: int
     criterion_trace: tuple[tuple[float, float], ...] | None = None
 
@@ -397,8 +388,7 @@ def _span_rss(s: TimeSeries, i, j):
     return np.where(raw <= 16.0 * _EPS * lens * qsum, 0.0, raw)
 
 
-def segmentation_from_breaks(s: TimeSeries, breaks: Sequence[int],
-                             method: str, min_len: int,
+def segmentation_from_breaks(s: TimeSeries, breaks: Sequence[int], min_len: int,
                              trace: Sequence[tuple[float, float]] | None = None,
                              ) -> Segmentation:
     """Build a Segmentation with means and RSS from the series cumulants.
@@ -418,7 +408,6 @@ def segmentation_from_breaks(s: TimeSeries, breaks: Sequence[int],
         breaks=bs,
         segment_means=tuple(float(m) for m in (cum[edges[1:]] - cum[edges[:-1]]) / lens),
         rss_total=float(rss),
-        method=method,
         min_len=min_len,
         criterion_trace=None if trace is None else tuple((float(a), float(b)) for a, b in trace),
     )

@@ -54,7 +54,8 @@ def read_csv(path: str, value_column: str | None = None) -> TimeSeries:
     """Parse a series file; interior gaps are an error, end gaps are trimmed.
 
     Dates come from the DATE column, values from value_column or, by
-    default, the second column; both names match in any case.
+    default, the first column other than DATE; both names match in any
+    case.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -74,7 +75,7 @@ def read_csv(path: str, value_column: str | None = None) -> TimeSeries:
         else:
             if len(header) < 2:
                 raise ParseError(f"{path}: need at least two columns, got {header}")
-            value_col = 1
+            value_col = 1 if date_col == 0 else 0
 
         rows: list[tuple[dt.date, float | None]] = []
         for lineno, row in enumerate(reader, start=2):

@@ -25,14 +25,12 @@ def _ar1_noise(n: int, rho: float, sigma: float, rng: np.random.Generator) -> np
 
 def make_step_signal(means: Sequence[float], lengths: Sequence[int],
                      noise: str = "gaussian", sigma: float = 1.0, rho: float = 0.5,
-                     seed: int = 0,
-                     start: dt.date = dt.date(2000, 1, 1),
-                     ) -> tuple[TimeSeries, tuple[int, ...]]:
+                     seed: int = 0) -> tuple[TimeSeries, tuple[int, ...]]:
     """Step signal plus noise, with its true break positions.
 
     means and lengths must pair up; noise is "gaussian" (i.i.d.) or
     "ar1" (innovation scale sigma, autoregression rho). The series gets
-    consecutive daily dates from start. Returns (series, breaks) where
+    consecutive daily dates from 2000-01-01. Returns (series, breaks) where
     breaks follow the last-index-of-segment convention.
     """
     if len(means) != len(lengths):
@@ -58,6 +56,7 @@ def make_step_signal(means: Sequence[float], lengths: Sequence[int],
         e = rng.standard_normal(n) * sigma
     else:
         e = _ar1_noise(n, rho, sigma, rng)
+    start = dt.date(2000, 1, 1)
     dates = tuple(start + dt.timedelta(days=i) for i in range(n))
     series = TimeSeries(signal + e, DateIndex(dates), label="synthetic")
     breaks = tuple(np.cumsum(lengths)[:-1].astype(int).tolist())

@@ -211,6 +211,6 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
         found = found[: cfg.max_breaks]
     found.sort(key=lambda t: t[0])
     return segmentation_from_breaks(
-        s, [b for b, _ in found], method="wbs", min_len=cfg.min_len,
+        s, [b for b, _ in found], min_len=cfg.min_len,
         trace=[(float(b), stat) for b, stat in found],
     )

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, REPO
 
 import stepscan as ss
+import stepscan.cli
 from stepscan.cli import main
 
 NILE = str(FIXTURES / "nile.csv")
@@ -70,6 +71,15 @@ class TestCmdTest:
         assert code == 0
         assert report["results"]["variance"]["kind"] == "long_run"
         assert report["results"]["variance"]["bandwidth"] == 4
+
+    def test_value_column_before_date(self, tmp_path):
+        path = tmp_path / "swapped.csv"
+        rows = ["value,DATE"] + [f"{v},{1900 + i}-01-01" for i, v in enumerate([1, 3, 2] * 4)]
+        path.write_text("\n".join(rows) + "\n")
+        code, report, _ = run(["test", str(path)], tmp_path)
+        assert code == 0
+        assert report["input"]["n"] == 12
+        assert report["input"]["label"] == "value"
 
     def test_unknown_method_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -160,6 +170,10 @@ class TestCmdSegment:
         assert main(["segment", "--method", method, "--max-breaks", "-1", NILE]) == 1
         assert "max_breaks must be nonnegative" in capsys.readouterr().err
 
+    def test_dp_negative_max_breaks_exits_1(self, capsys):
+        assert main(["segment", "--method", "dp", "--max-breaks", "-1", NILE]) == 1
+        assert "max_m must be nonnegative, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("c", ["nan", "inf", "0"])
     def test_bad_threshold_c_exits_1(self, capsys, c):
         assert main(["segment", "--method", "wbs", "--threshold-c", c, NILE]) == 1
@@ -198,6 +212,36 @@ class TestCmdCompare:
         dp_breaks = report["results"]["methods"]["dp"]["breaks"]
         ed_breaks = report["results"]["methods"]["edivisive"]["breaks"]
         assert dp_breaks[0]["index"] == ed_breaks[0]["index"] == 30
+
+    def test_one_side_without_breaks_has_no_matches(self, tmp_path):
+        data = tmp_path / "step.csv"
+        main(["synth", "--means", "0,5", "--lengths", "30,30", "--sigma", "0",
+              "--out", str(data)])
+        # one permutation gives p >= 1/2, so e-divisive accepts no break
+        code, report, _ = run(["compare", "--methods", "dp,edivisive", "--min-seg", "5",
+                               "--max-breaks", "3", "--permutations", "1", str(data)],
+                              tmp_path)
+        assert code == 0
+        assert report["results"]["methods"]["dp"]["num_breaks"] == 1
+        assert report["results"]["methods"]["edivisive"]["num_breaks"] == 0
+        pair = report["results"]["pairwise"][0]
+        assert pair["max_nearest_distance"] is None
+        assert pair["matches"] == []
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["--methods", "dp,wbs", "--min-seg", "1"], 2,
+         "--min-seg 1 resolves to 1 observations; method wbs needs at least 2"),
+        (["--methods", "dp,edivisive", "--alpha", "2", "--permutations", "0"], 1,
+         "num_permutations must be positive"),
+    ], ids=["wbs-min-seg", "edivisive-permutations"])
+    def test_every_config_checked_before_any_method_runs(self, capsys, monkeypatch,
+                                                         argv, code, message):
+        def spy(*args, **kwargs):
+            pytest.fail("the dynamic program ran before every config was checked")
+
+        monkeypatch.setattr(stepscan.cli, "select_breaks_bic", spy)
+        assert main(["compare"] + argv + [NILE]) == code
+        assert capsys.readouterr().err == f"stepscan: {message}\n"
 
     def test_same_method_twice_rejected(self, capsys):
         assert main(["compare", "--methods", "dp,dp", NILE]) == 2

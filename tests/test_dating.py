@@ -84,6 +84,11 @@ class TestOptimalBreaks:
         with pytest.raises(ValueError):
             ss.optimal_breaks(tri, 2)
 
+    def test_negative_break_count(self):
+        tri = ss.build_rss_triangle(annual(np.arange(10.0)), 4)
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            ss.optimal_breaks(tri, -1)
+
     def test_matches_brute_force_small(self):
         rng = np.random.default_rng(4)
         for trial in range(25):
@@ -279,6 +284,6 @@ class TestFittedStep:
 
     def test_length_mismatch(self):
         s = annual([1.0, 2.0, 3.0, 6.0])
-        seg = ss.segmentation_from_breaks(annual([1.0, 2.0]), [], method="dp", min_len=1)
+        seg = ss.segmentation_from_breaks(annual([1.0, 2.0]), [], min_len=1)
         with pytest.raises(ValueError):
             ss.fitted_step(s, seg)

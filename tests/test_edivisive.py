@@ -163,6 +163,17 @@ class TestPermutationTest:
         b, _ = best_split(v, cfg)
         assert permutation_test(v, b, cfg) == pytest.approx(1 / 200)
 
+    def test_unsplittable_segment(self):
+        cfg = ss.EdivConfig(min_size=5, num_permutations=9)
+        with pytest.raises(ss.DataError, match="segment of 9 observations admits no split"):
+            permutation_test(np.arange(9.0), 4, cfg)
+
+    @pytest.mark.parametrize("b", [4, 16])
+    def test_split_must_respect_min_size(self, b):
+        cfg = ss.EdivConfig(min_size=5, num_permutations=9)
+        with pytest.raises(ValueError, match=f"split {b} violates min_size 5"):
+            permutation_test(np.arange(20.0), b, cfg)
+
     def test_deterministic_in_seed(self):
         cfg = ss.EdivConfig(min_size=5, alpha=1.0, num_permutations=49, seed=9)
         rng = np.random.default_rng(4)
@@ -226,6 +237,15 @@ class TestEDivisive:
     def test_negative_max_breaks_rejected(self):
         with pytest.raises(ValueError, match="max_breaks"):
             ss.EdivConfig(max_breaks=-1)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"min_size": 1}, "min_size must be at least 2"),
+        ({"sig_level": 0.0}, "sig_level must be in"),
+        ({"sig_level": 1.0}, "sig_level must be in"),
+    ])
+    def test_config_domain(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ss.EdivConfig(**kwargs)
 
     def test_too_short_series(self):
         with pytest.raises(ss.DataError):

@@ -75,6 +75,14 @@ class TestVariance:
         with pytest.raises(ValueError):
             ss.long_run_variance(annual([1, 2, 3, 4.0]), bandwidth=3)
 
+    def test_variance_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ss.VarianceEstimate(-1.0)
+
+    def test_long_run_variance_needs_four_observations(self):
+        with pytest.raises(ss.DataError, match="at least four"):
+            ss.long_run_variance(annual([1.0, 2.0, 3.0]))
+
     def test_constant_series_is_clamped_to_zero(self):
         est = ss.long_run_variance(annual([2.0] * 10), bandwidth=2)
         assert est.value == 0.0
@@ -117,6 +125,10 @@ class TestProcesses:
         with pytest.raises(ValueError):
             ss.build_process(annual([1.0, 2.0]), "mosum")
 
+    def test_residuals_need_two_observations(self):
+        with pytest.raises(ss.DataError, match="at least two"):
+            ss.ols_residuals(annual([1.0]))
+
     @settings(max_examples=80)
     @given(st.lists(st.integers(-20, 20), min_size=5, max_size=40),
            st.integers(-5, 5), st.sampled_from([-3, -1, 2, 5]),
@@ -157,6 +169,11 @@ class TestMosum:
         with pytest.raises(ss.DataError):
             ss.mosum_process(annual([1.0] * 10), 0.1)
 
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
+    def test_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match="must be in \\(0, 1\\]"):
+            ss.mosum_process(annual([1.0] * 10), fraction)
+
 
 class TestBoundaryMath:
     def test_kolmogorov_series_matches_oracle(self):
@@ -175,6 +192,14 @@ class TestBoundaryMath:
     def test_pvalue_monotone_decreasing(self, a, b):
         lo, hi = min(a, b), max(a, b)
         assert ss.brownian_bridge_sup_pvalue(lo) >= ss.brownian_bridge_sup_pvalue(hi)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5])
+    def test_quantile_level_outside_unit_interval(self, level):
+        with pytest.raises(ValueError, match="must be in \\(0, 1\\)"):
+            ss.brownian_bridge_sup_quantile(level)
+
+    def test_crossing_probability_of_zero_is_one(self):
+        assert ss.brownian_motion_crossing_probability(0.0) == 1.0
 
     def test_quantile_inverts_pvalue(self):
         for level in (0.01, 0.05, 0.10, 0.25):
@@ -238,6 +263,11 @@ class TestSupAbsTest:
         # the boundary array stays out of equality and hashing
         assert ols == ss.sup_abs_test(ss.build_process(s, "ols_cusum"), 0.05)
         assert hash(ols) == hash(ss.sup_abs_test(ss.build_process(s, "ols_cusum"), 0.05))
+
+    def test_unknown_process_kind(self):
+        p = ss.FluctuationProcess(path=np.zeros(3), kind="cusum_of_squares", nobs=2)
+        with pytest.raises(ss.UnsupportedError, match="'cusum_of_squares'"):
+            ss.sup_abs_test(p)
 
     def test_level_domain(self):
         p = ss.build_process(annual([1.0, 2.0, 3.0]), "ols_cusum")

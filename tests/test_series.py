@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -63,8 +64,29 @@ class TestTimeSeries:
         s = ss.TimeSeries(np.arange(10.0), ss.PeriodIndex(1990, 1, 4))
         w = s.window(3, 6)
         assert w.n == 4
+        assert len(w) == 4
         assert w.period_label(1) == "1990Q3"
         np.testing.assert_array_equal(w.values, [2, 3, 4, 5])
+        with pytest.raises(ss.DataError, match="outside series of length 10"):
+            s.window(4, 11)
+
+    def test_rejects_two_dimensional_values(self):
+        with pytest.raises(ss.DataError, match="one-dimensional"):
+            annual([[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"freq": 2}, "frequency must be one of"),
+        ({"freq": 4, "start_sub": 5}, "start_sub must be in 1..4"),
+        ({"freq": 12, "start_sub": 0}, "start_sub must be in 1..12"),
+    ])
+    def test_period_index_checks_its_fields(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ss.PeriodIndex(1990, **kwargs)
+
+    def test_monthly_label(self):
+        idx = ss.PeriodIndex(1990, 1, 12)
+        assert idx.label(3) == "1990-03"
+        assert idx.label(13) == "1991-01"
 
 
 class TestLogTransform:
@@ -118,6 +140,28 @@ class TestDeflate:
         deflator = ss.TimeSeries([1.0, 1.0], ss.PeriodIndex(2000, 1, 12))
         with pytest.raises(ss.AlignmentError):
             ss.deflate(nominal, deflator)
+
+    def test_needs_regular_calendars(self):
+        import datetime as dt
+        daily = ss.TimeSeries([1.0, 2.0], ss.DateIndex((dt.date(2020, 1, 1),
+                                                         dt.date(2020, 1, 2))))
+        with pytest.raises(ss.AlignmentError, match="regular calendar"):
+            ss.deflate(daily, daily)
+
+    def test_base_year_must_be_covered(self):
+        nominal = ss.TimeSeries(np.ones(4), ss.PeriodIndex(2000, 1, 4))
+        deflator = ss.TimeSeries(np.ones(6), ss.PeriodIndex(2000, 1, 4))
+        with pytest.raises(ss.AlignmentError, match="base year 2001 not fully covered"):
+            ss.deflate(nominal, deflator, base=2001)
+
+    @pytest.mark.parametrize("deflator,base", [
+        ([1.0, 0.0, 1.0, 1.0], None),
+        ([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0], 2001),
+    ])
+    def test_deflator_must_be_positive(self, deflator, base):
+        nominal = ss.TimeSeries(np.ones(4), ss.PeriodIndex(2000, 1, 4))
+        with pytest.raises(ss.DataError, match="strictly positive"):
+            ss.deflate(nominal, ss.TimeSeries(deflator, ss.PeriodIndex(2000, 1, 4)), base=base)
 
     @given(st.lists(st.floats(min_value=0.1, max_value=100), min_size=2, max_size=20))
     def test_deflating_by_itself_is_flat(self, values):
@@ -176,7 +220,7 @@ class TestFitAr1:
 
 class TestSegmentation:
     def test_partition_bookkeeping(self):
-        seg = segmentation_from_breaks(annual([0, 0, 3, 3.0]), [2], method="dp", min_len=2)
+        seg = segmentation_from_breaks(annual([0, 0, 3, 3.0]), [2], min_len=2)
         assert seg.bounds() == ((1, 2), (3, 4))
         assert seg.segment_means == (0.0, 3.0)
         assert seg.rss_total == 0.0
@@ -185,12 +229,31 @@ class TestSegmentation:
     def test_short_segment_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
             ss.Segmentation(n=10, breaks=(1,), segment_means=(0.0, 0.0),
-                            rss_total=0.0, method="dp", min_len=3)
+                            rss_total=0.0, min_len=3)
 
     def test_unsorted_breaks_rejected(self):
         with pytest.raises(ValueError):
             ss.Segmentation(n=10, breaks=(6, 3), segment_means=(0.0,) * 3,
-                            rss_total=0.0, method="dp", min_len=2)
+                            rss_total=0.0, min_len=2)
+
+    def test_one_mean_per_segment(self):
+        with pytest.raises(ValueError, match="one mean per segment"):
+            ss.Segmentation(n=10, breaks=(5,), segment_means=(0.0,),
+                            rss_total=0.0, min_len=2)
+
+    @pytest.mark.parametrize("values,field,message", [
+        ([0.0, 0.0, 3.0], None, "expected 4 values, got 3"),
+        ([0.0, 0.0, 3.0, 3.0], "segment_means", "stored mean 1.0 for segment \\[1, 2\\]"),
+        ([0.0, 0.0, 3.0, 3.0], "rss_total", "stored RSS 1.0 differs"),
+    ])
+    def test_validate_reports_drift(self, values, field, message):
+        seg = segmentation_from_breaks(annual([0, 0, 3, 3.0]), [2], min_len=2)
+        if field == "segment_means":
+            seg = dataclasses.replace(seg, segment_means=(1.0, 3.0))
+        elif field == "rss_total":
+            seg = dataclasses.replace(seg, rss_total=1.0)
+        with pytest.raises(ValueError, match=message):
+            seg.validate(values)
 
     @settings(max_examples=50)
     @given(st.data())
@@ -203,5 +266,5 @@ class TestSegmentation:
             st.sets(st.integers(2, n - 2), min_size=k, max_size=k)))
         if any(b - a < 2 for a, b in zip([0] + candidates, candidates + [n])):
             candidates = []
-        seg = segmentation_from_breaks(annual(values), candidates, method="dp", min_len=2)
+        seg = segmentation_from_breaks(annual(values), candidates, min_len=2)
         seg.validate(values, rtol=1e-10)

@@ -63,6 +63,40 @@ class TestReadCsv:
         s = ss.read_csv(path, value_column="b")
         np.testing.assert_array_equal(s.values, [10.0, 20.0])
 
+    def test_unknown_value_column(self, tmp_path):
+        path = write(tmp_path, "DATE,a\n2000-01-01,1\n")
+        with pytest.raises(ss.ParseError, match="no 'b' column"):
+            ss.read_csv(path, value_column="b")
+
+    def test_value_column_before_date(self, tmp_path):
+        first = ss.read_csv(write(tmp_path, "value,DATE\n1,2000-01-01\n2,2000-04-01\n",
+                                  "first.csv"))
+        second = ss.read_csv(write(tmp_path, "DATE,value\n2000-01-01,1\n2000-04-01,2\n",
+                                   "second.csv"))
+        np.testing.assert_array_equal(first.values, second.values)
+        assert first.index == second.index
+        assert first.label == second.label == "value"
+
+    @pytest.mark.parametrize("text,error,message", [
+        ("", ss.ParseError, "empty file"),
+        ("DATE\n2000-01-01\n", ss.ParseError, "need at least two columns"),
+        ("DATE,x\n2000-01-01,.\n2001-01-01,NA\n", ss.DataError, "no usable observations"),
+    ])
+    def test_unreadable_files(self, tmp_path, text, error, message):
+        with pytest.raises(error, match=message):
+            ss.read_csv(write(tmp_path, text))
+
+    def test_one_row_file_gets_its_date(self, tmp_path):
+        s = ss.read_csv(write(tmp_path, "DATE,x\n2000-01-01,4.5\n"))
+        assert s.n == 1
+        assert isinstance(s.index, ss.DateIndex)
+        assert s.period_label(1) == "2000-01-01"
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        s = ss.read_csv(write(tmp_path, "DATE,x\n\n2000-01-01,1\n , \n2001-01-01,2\n\n"))
+        np.testing.assert_array_equal(s.values, [1.0, 2.0])
+        assert s.index.freq == 1
+
     def test_crlf_and_bom_tolerated(self, tmp_path):
         path = tmp_path / "crlf.csv"
         path.write_bytes(b"\xef\xbb\xbfDATE,x\r\n2000-01-01,1\r\n2001-01-01,2\r\n")
@@ -132,6 +166,16 @@ class TestMonthlyToQuarterly:
         s = ss.TimeSeries(np.arange(6.0), ss.PeriodIndex(2000, 1, 12))
         q = ss.monthly_to_quarterly(s, "last")
         np.testing.assert_array_equal(q.values, [2.0, 5.0])
+
+    def test_unknown_aggregation(self):
+        s = ss.TimeSeries(np.arange(6.0), ss.PeriodIndex(2000, 1, 12))
+        with pytest.raises(ValueError, match="unknown aggregation 'median'"):
+            ss.monthly_to_quarterly(s, "median")
+
+    def test_no_full_quarter(self):
+        s = ss.TimeSeries(np.arange(4.0), ss.PeriodIndex(2000, 2, 12))
+        with pytest.raises(ss.DataError, match="no full quarter"):
+            ss.monthly_to_quarterly(s)
 
     def test_requires_monthly_input(self):
         s = ss.TimeSeries([1.0, 2.0], ss.PeriodIndex(2000, 1, 4))

@@ -77,7 +77,7 @@ def all_pairs_wbs_segment(series, cfg):
         found = found[: cfg.max_breaks]
     found.sort(key=lambda t: t[0])
     return ss.segmentation_from_breaks(
-        series, [b for b, _ in found], method="wbs", min_len=cfg.min_len,
+        series, [b for b, _ in found], min_len=cfg.min_len,
         trace=[(float(b), stat) for b, stat in found],
     )
 
@@ -188,6 +188,9 @@ class TestMadScale:
     def test_step_signal_without_noise_is_zero(self):
         v = np.repeat([0.0, 5.0], 50)
         assert mad_scale(v) == 0.0
+
+    def test_single_value_is_zero(self):
+        assert mad_scale(np.array([3.0])) == 0.0
 
 
 class TestWbsSegment:
@@ -334,6 +337,10 @@ class TestWbsConfig:
     def test_negative_max_breaks_rejected(self, m):
         with pytest.raises(ValueError, match="max_breaks"):
             ss.WbsConfig(max_breaks=m)
+
+    def test_min_len_below_two_rejected(self):
+        with pytest.raises(ValueError, match="min_len must be at least 2"):
+            ss.WbsConfig(min_len=1)
 
     def test_zero_max_breaks_keeps_no_break(self):
         sig, _ = ss.make_step_signal([0, 5], [30, 30], sigma=0.0)
