@@ -18,7 +18,7 @@ import time
 from typing import Callable
 
 from . import __version__
-from .dating import build_rss_triangle, fitted_step, select_breaks_bic
+from .dating import _check_breaks, _most_breaks, build_rss_triangle, fitted_step, select_breaks_bic
 from .edivisive import EdivConfig, e_divisive
 from .fluctuation import (
     build_process,
@@ -242,34 +242,23 @@ def _configure(series: TimeSeries, method: str, args) -> tuple[Callable[[], Segm
     n = series.n
     if method == "dp":
         min_len = _parse_min_seg(args.min_seg, n, max(1, int(0.15 * n)), method)
-        feasible = n // min_len - 1
-        max_m = args.max_breaks if args.max_breaks is not None else min(5, feasible)
         tri = build_rss_triangle(series, min_len)
+        max_m = args.max_breaks if args.max_breaks is not None else min(5, _most_breaks(n, min_len))
+        _check_breaks(n, min_len, max_m)
         config = {"method": "dp", "min_len": min_len, "max_breaks": max_m,
                   "seed": args.seed}
         return lambda: select_breaks_bic(tri, max_m), config
     if method == "wbs":
         min_len = _parse_min_seg(args.min_seg, n, 2, method)
-        cfg = WbsConfig(num_intervals=args.intervals,
-                        threshold_constant=args.threshold_c,
-                        max_breaks=args.max_breaks, seed=args.seed,
-                        min_len=min_len)
-        config = {"method": "wbs", "num_intervals": cfg.num_intervals,
-                  "threshold_constant": cfg.threshold_constant,
-                  "max_breaks": cfg.max_breaks, "min_len": cfg.min_len,
-                  "seed": cfg.seed}
-        return lambda: wbs_segment(series, cfg), config
+        cfg = WbsConfig(num_intervals=args.intervals, threshold_constant=args.threshold_c,
+                        max_breaks=args.max_breaks, min_len=min_len, seed=args.seed)
+        return lambda: wbs_segment(series, cfg), {"method": method, **dataclasses.asdict(cfg)}
     # edivisive; callers pass only _MIN_SEG_FLOOR keys
     min_size = _parse_min_seg(args.min_seg, n, 30, method)
-    cfg = EdivConfig(min_size=min_size, alpha=args.alpha,
-                     sig_level=args.level,
-                     num_permutations=args.permutations,
-                     seed=args.seed, max_breaks=args.max_breaks)
-    config = {"method": "edivisive", "min_size": cfg.min_size,
-              "alpha": cfg.alpha, "sig_level": cfg.sig_level,
-              "num_permutations": cfg.num_permutations,
-              "max_breaks": cfg.max_breaks, "seed": cfg.seed}
-    return lambda: e_divisive(series, cfg), config
+    cfg = EdivConfig(min_size=min_size, alpha=args.alpha, sig_level=args.level,
+                     num_permutations=args.permutations, max_breaks=args.max_breaks,
+                     seed=args.seed)
+    return lambda: e_divisive(series, cfg), {"method": method, **dataclasses.asdict(cfg)}
 
 
 def cmd_segment(args) -> int:
@@ -375,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_seg = sub.add_parser("segment", help="date level shifts")
     _add_common(p_seg)
-    p_seg.add_argument("--method", choices=["dp", "wbs", "edivisive"], required=True)
+    p_seg.add_argument("--method", choices=list(_MIN_SEG_FLOOR), required=True)
     _add_dating(p_seg)
     p_seg.set_defaults(func=cmd_segment)
 

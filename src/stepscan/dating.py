@@ -58,6 +58,22 @@ def build_rss_triangle(s: TimeSeries, min_len: int) -> RssTriangle:
     return RssTriangle(series=s, min_len=min_len)
 
 
+def _most_breaks(n: int, min_len: int) -> int:
+    """The most breaks that leave every segment at least min_len long."""
+    return n // min_len - 1
+
+
+def _check_breaks(n: int, min_len: int, m: int) -> None:
+    """Raise ValueError unless 0 <= m <= _most_breaks(n, min_len)."""
+    if m < 0:
+        raise ValueError(f"max_breaks must be nonnegative, got {m}")
+    if m > _most_breaks(n, min_len):
+        raise ValueError(
+            f"max_breaks = {m} infeasible: {m + 1} segments of at least"
+            f" {min_len} observations do not fit into {n}"
+        )
+
+
 # Starts per block of the pruned Bellman sweep.
 _BLOCK_STARTS = 96
 # Mean intervals are widened by this share of the largest mean magnitude
@@ -351,12 +367,7 @@ def optimal_breaks(tri: RssTriangle, m: int) -> Segmentation:
     Ties between partitions with equal RSS go to the lexicographically
     smallest break vector.
     """
-    if m < 0:
-        raise ValueError(f"number of breaks must be nonnegative, got {m}")
-    if (m + 1) * tri.min_len > tri.n:
-        raise ValueError(
-            f"{m} breaks with min_len {tri.min_len} do not fit into {tri.n} observations"
-        )
+    _check_breaks(tri.n, tri.min_len, m)
     breaks = [] if m == 0 else _reconstruct(tri, _suffix_costs(tri, m + 1), m)
     return segmentation_from_breaks(tri.series, breaks, min_len=tri.min_len)
 
@@ -379,13 +390,7 @@ def select_breaks_bic(tri: RssTriangle, max_m: int) -> Segmentation:
 
     The returned Segmentation carries the full (m, BIC) trace.
     """
-    if max_m < 0:
-        raise ValueError(f"max_m must be nonnegative, got {max_m}")
-    if (max_m + 1) * tri.min_len > tri.n:
-        raise ValueError(
-            f"max_m = {max_m} infeasible: {max_m + 1} segments of at least"
-            f" {tri.min_len} observations do not fit into {tri.n}"
-        )
+    _check_breaks(tri.n, tri.min_len, max_m)
     D = _suffix_costs(tri, max_m + 1)
     rss_by_m = D[1:, 1]  # D[m+1, 1] is the m-break optimum over the full span
     trace = [(float(m), bic_value(tri.n, float(rss_by_m[m]), m)) for m in range(max_m + 1)]

@@ -27,22 +27,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EdivConfig:
     """Settings for divisive energy segmentation.
 
     min_size is the smallest admissible segment; alpha the distance
     exponent (alpha = 2 restricts the method to mean changes);
     num_permutations the R in the add-one permutation p-value. All
-    randomness flows from seed.
+    randomness flows from seed. Fields are keyword-only, in the key
+    order of the CLI report's config block.
     """
 
     min_size: int = 30
     alpha: float = 1.0
     sig_level: float = 0.05
     num_permutations: int = 199
-    seed: int = 0
     max_breaks: int | None = None
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.min_size < 2:

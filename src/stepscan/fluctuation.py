@@ -35,17 +35,7 @@ __all__ = [
     "brownian_bridge_sup_pvalue",
     "brownian_bridge_sup_quantile",
     "brownian_motion_crossing_probability",
-    "REC_CUSUM_LAMBDA",
 ]
-
-# Classical two-sided crossing constants for the linear boundary
-# +/- lambda * (1 + 2t) of a standard Brownian motion; verified against
-# brownian_motion_crossing_probability in the test suite.
-REC_CUSUM_LAMBDA: dict[float, float] = {
-    0.01: 1.143,
-    0.05: 0.948,
-    0.10: 0.850,
-}
 
 
 @dataclass(frozen=True)
@@ -154,7 +144,7 @@ def long_run_variance(s: TimeSeries, bandwidth: int | str = "auto") -> VarianceE
     lag = auto_bandwidth(s.n) if bandwidth == "auto" else int(bandwidth)
     if not 0 <= lag <= s.n - 2:
         raise ValueError(f"bandwidth must be in [0, {s.n - 2}], got {lag}")
-    x = s.values - s.values.mean()
+    x = ols_residuals(s)
     n = s.n
     gamma0 = float(x @ x / n)
     total = gamma0
@@ -239,18 +229,25 @@ def brownian_bridge_sup_pvalue(x: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def brownian_bridge_sup_quantile(level: float) -> float:
-    """The constant c with P(sup |B0| > c) = level, by bisection."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+def _invert(pvalue, level: float) -> float:
+    """The x in (0, 10) with pvalue(x) = level, by bisection; pvalue decreases."""
     lo, hi = 1e-8, 10.0
+    if pvalue(hi) > level:
+        raise ValueError(f"level {level} is below the smallest solvable one, {pvalue(hi):.3g}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if brownian_bridge_sup_pvalue(mid) > level:
+        if pvalue(mid) > level:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def brownian_bridge_sup_quantile(level: float) -> float:
+    """The constant c with P(sup |B0| > c) = level, by bisection."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    return _invert(brownian_bridge_sup_pvalue, level)
 
 
 def _norm_cdf(x: float) -> float:
@@ -277,8 +274,9 @@ def sup_abs_test(process: FluctuationProcess, level: float = 0.05,
       sup distribution, boundary a constant at the level's quantile.
     * rec_cusum: statistic is the smallest boundary multiple touched,
       max |path_k| / (1 + 2 t_k); p-value from the analytic
-      linear-boundary crossing probability. Only levels 0.01/0.05/0.10
-      carry tabulated boundary constants; others are rejected.
+      linear-boundary crossing probability. The boundary constant solves
+      that probability = level, rounded to three decimals as in the
+      classical tables (1.143, 0.948, 0.85 at 0.01, 0.05, 0.10).
     * mosum: no p-value is available; the verdict is a crossing check of
       max|path| against a caller-supplied critical value.
     """
@@ -296,12 +294,7 @@ def sup_abs_test(process: FluctuationProcess, level: float = 0.05,
                           level=level, upper=np.full_like(process.times, bound))
 
     if process.kind == "rec_cusum":
-        if level not in REC_CUSUM_LAMBDA:
-            raise UnsupportedError(
-                f"rec_cusum boundaries are tabulated for levels"
-                f" {sorted(REC_CUSUM_LAMBDA)}, not {level}"
-            )
-        lam_level = REC_CUSUM_LAMBDA[level]
+        lam_level = round(_invert(brownian_motion_crossing_probability, level), 3)
         slope = 1.0 + 2.0 * process.times
         stat = float(np.max(np.abs(process.path) / slope))
         p = brownian_motion_crossing_probability(stat)

@@ -14,25 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DataError, Segmentation, TimeSeries, _check_budget, segmentation_from_breaks
+from .series import _EPS, DataError, Segmentation, TimeSeries, _check_budget, segmentation_from_breaks
 
 __all__ = ["WbsConfig", "wbs_segment", "mad_scale"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class WbsConfig:
     """Tuning knobs for wild binary segmentation.
 
     threshold_constant scales the universal threshold
     C * sigma * sqrt(2 log T); max_breaks keeps only the strongest
-    breaks when set. All randomness flows from seed.
+    breaks when set. All randomness flows from seed. Fields are
+    keyword-only, in the key order of the CLI report's config block.
     """
 
     num_intervals: int = 5000
     threshold_constant: float = 1.3
     max_breaks: int | None = None
-    seed: int = 0
     min_len: int = 2
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_intervals < 0:
@@ -172,8 +173,7 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
     threshold = cfg.threshold_constant * sigma * math.sqrt(2.0 * math.log(n))
     # Cumulative-sum rounding leaves O(n^1.5 * eps * |y|) of noise in the
     # statistic on constant stretches; never split on that.
-    eps = float(np.finfo(float).eps)
-    stat_floor = 4.0 * eps * n ** 1.5 * float(np.max(np.abs(v)))
+    stat_floor = 4.0 * _EPS * n ** 1.5 * float(np.max(np.abs(v)))
     threshold = max(threshold, stat_floor)
     cum = s.cumulants[0]
 

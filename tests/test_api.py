@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import collections
 import importlib
 import inspect
+import json
 import pkgutil
 
 import pytest
@@ -11,6 +13,9 @@ import stepscan
 
 MODULES = [stepscan] + [importlib.import_module(f"stepscan.{info.name}")
                         for info in pkgutil.iter_modules(stepscan.__path__)]
+# The modules whose exports the package re-exports.
+LIBRARY = [m for m in MODULES[1:] if hasattr(m, "__all__")]
+WORKLOADS = [w["name"] for w in json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if hasattr(m, "__all__")],
@@ -20,6 +25,34 @@ def test_every_exported_name_resolves(module):
     namespace: dict = {}
     exec(f"from {module.__name__} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_no_name_is_exported_by_two_modules():
+    # the package's star imports would let the later module shadow it
+    owners = collections.Counter(name for m in LIBRARY for name in m.__all__)
+    assert [name for name, count in owners.items() if count > 1] == []
+
+
+def test_package_exports_each_module_export_once():
+    assert len(stepscan.__all__) == len(set(stepscan.__all__))
+    assert set(stepscan.__all__) == {name for m in LIBRARY for name in m.__all__} | {"__version__"}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_outputs_match_reference_digests(monkeypatch, tmp_path, workload):
+    """One seed-0 pass of a benchmark workload: every check passes, every digest is pinned."""
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    monkeypatch.chdir(REPO)  # the CLI jobs name their fixtures relative to it
+    workloads = importlib.import_module("workloads")
+    reference = json.loads((REPO / "bench" / "reference.json").read_text())
+    assert reference["seed"] == 0
+    failures, digests = {}, {}
+    for job in workloads.build(workload, 0, str(tmp_path)):
+        reason, digests[job.id] = job.check(job.run())
+        if reason is not None:
+            failures[job.id] = reason
+    assert failures == {}
+    assert digests == reference["workloads"][workload]
 
 
 def test_benchmark_trace_targets_resolve(monkeypatch):

@@ -89,6 +89,13 @@ class TestCmdTest:
     def test_missing_file_exits_1(self, capsys):
         assert main(["test", "--method", "ols-cusum", "no-such.csv"]) == 1
 
+    def test_rec_cusum_takes_any_level(self, tmp_path):
+        code, report, _ = run(["test", "--method", "rec-cusum", "--level", "0.2", NILE],
+                              tmp_path)
+        assert code == 0
+        assert report["results"]["boundary"] == (
+            "+/- 0.739 * (1 + 2t) (Brownian motion crossing)")
+
     def test_plot_csv_has_boundaries(self, tmp_path):
         plot = tmp_path / "plot.csv"
         code = main(["test", "--method", "ols-cusum", NILE,
@@ -172,7 +179,7 @@ class TestCmdSegment:
 
     def test_dp_negative_max_breaks_exits_1(self, capsys):
         assert main(["segment", "--method", "dp", "--max-breaks", "-1", NILE]) == 1
-        assert "max_m must be nonnegative, got -1" in capsys.readouterr().err
+        assert "max_breaks must be nonnegative, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("c", ["nan", "inf", "0"])
     def test_bad_threshold_c_exits_1(self, capsys, c):
@@ -242,6 +249,16 @@ class TestCmdCompare:
         monkeypatch.setattr(stepscan.cli, "select_breaks_bic", spy)
         assert main(["compare"] + argv + [NILE]) == code
         assert capsys.readouterr().err == f"stepscan: {message}\n"
+
+    def test_infeasible_dp_max_breaks_checked_before_any_method_runs(self, capsys,
+                                                                      monkeypatch):
+        def spy(*args, **kwargs):
+            pytest.fail("e-divisive ran before the DP's --max-breaks was checked")
+
+        monkeypatch.setattr(stepscan.cli, "e_divisive", spy)
+        assert main(["compare", "--methods", "edivisive,dp", "--max-breaks", "20",
+                     NILE]) == 1
+        assert "max_breaks = 20 infeasible" in capsys.readouterr().err
 
     def test_same_method_twice_rejected(self, capsys):
         assert main(["compare", "--methods", "dp,dp", NILE]) == 2

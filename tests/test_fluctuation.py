@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepscan as ss
-from stepscan.fluctuation import REC_CUSUM_LAMBDA
 
 SQRT8 = math.sqrt(8.0)
 
@@ -206,11 +205,11 @@ class TestBoundaryMath:
             c = ss.brownian_bridge_sup_quantile(level)
             assert ss.brownian_bridge_sup_pvalue(c) == pytest.approx(level, rel=1e-6)
 
-    def test_tabulated_lambdas_match_crossing_probability(self):
-        # the classic constants reproduce their levels through the formula
-        for level, lam in REC_CUSUM_LAMBDA.items():
-            assert ss.brownian_motion_crossing_probability(lam) == pytest.approx(
-                level, abs=2e-4)
+    @pytest.mark.parametrize("level,lam", [(0.01, 1.143), (0.05, 0.948), (0.10, 0.850)])
+    def test_rec_cusum_boundary_constant_is_the_classical_one(self, level, lam):
+        # the root of the crossing probability, rounded as in the tables
+        p = ss.build_process(annual([1.0, 5.0, 2.0, 4.0]), "rec_cusum")
+        assert ss.sup_abs_test(p, level).upper[0] == lam
 
     def test_crossing_probability_against_normal_cdf_oracle(self):
         for lam in (0.5, 0.85, 1.2):
@@ -237,10 +236,11 @@ class TestSupAbsTest:
                 res = ss.sup_abs_test(ss.build_process(annual(y), kind), 0.05)
                 assert res.crossed == (res.p_value < 0.05)
 
-    def test_rec_cusum_level_must_be_tabulated(self):
+    def test_rec_cusum_level_below_the_bisection_bracket(self):
+        # the boundary constant would saturate at the bracket's end, 10
         p = ss.build_process(annual([1.0, 5.0, 2.0, 4.0]), "rec_cusum")
-        with pytest.raises(ss.UnsupportedError):
-            ss.sup_abs_test(p, level=0.2)
+        with pytest.raises(ValueError, match="below the smallest solvable one, 3.83e-174"):
+            ss.sup_abs_test(p, level=1e-200)
 
     def test_mosum_requires_critical_value(self):
         p = ss.mosum_process(annual([1.0, 5.0, 2.0, 4.0, 3.0, 0.0]), 0.5)
@@ -256,7 +256,7 @@ class TestSupAbsTest:
         ols = ss.sup_abs_test(ss.build_process(s, "ols_cusum"), 0.05)
         np.testing.assert_array_equal(ols.upper, [ss.brownian_bridge_sup_quantile(0.05)] * 7)
         rec = ss.sup_abs_test(ss.build_process(s, "rec_cusum"), 0.01)
-        np.testing.assert_array_equal(rec.upper, REC_CUSUM_LAMBDA[0.01] * (1.0 + 2.0 * t[:6]))
+        np.testing.assert_array_equal(rec.upper, 1.143 * (1.0 + 2.0 * t[:6]))
         p = ss.mosum_process(s, 0.5)
         mosum = ss.sup_abs_test(p, 0.05, critical=3)
         np.testing.assert_array_equal(mosum.upper, [3.0] * p.path.size)
