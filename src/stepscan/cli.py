@@ -47,19 +47,18 @@ class _TransformAction(argparse.Action):
         chain.append((tag,) if values in (None, []) else (tag, values))
 
 
-def _min_seg_arg(text: str) -> str:
-    """Validate --min-seg format early; resolution needs the series length."""
-    body = text.strip().removesuffix("%")
+def _min_seg_arg(text: str) -> tuple[str, float, bool]:
+    """Parse --min-seg into (text, number, is_percentage); resolution needs the series length."""
+    spec = text.strip()
+    percent = spec.endswith("%")
     try:
-        if text.strip().endswith("%"):
-            if not math.isfinite(float(body)):
-                raise ValueError(body)
-        else:
-            int(body)
+        value = float(spec[:-1]) if percent else int(spec)
+        if percent and not math.isfinite(value):
+            raise ValueError(spec)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a count or a percentage like '10%', got {text!r}") from None
-    return text
+    return spec, value, percent
 
 
 def _lrv_bandwidth_arg(text: str):
@@ -95,24 +94,24 @@ _MIN_SEG_FLOOR = {"dp": 1, "wbs": 2, "edivisive": 2}
 
 
 def _add_dating(p: argparse.ArgumentParser) -> None:
-    """Options shared by segment and compare."""
+    """Options shared by segment and compare; defaults come from the config types."""
     p.add_argument("--min-seg", type=_min_seg_arg, default=None,
                    help="minimal segment length, a count or a percentage like '10%%'")
     p.add_argument("--max-breaks", type=int, default=None)
-    p.add_argument("--level", type=float, default=0.05,
+    p.add_argument("--level", type=float, default=EdivConfig.sig_level,
                    help="significance level for edivisive stopping")
-    p.add_argument("--alpha", type=float, default=1.0,
+    p.add_argument("--alpha", type=float, default=EdivConfig.alpha,
                    help="edivisive distance exponent (2 = mean changes only)")
-    p.add_argument("--permutations", type=int, default=199)
-    p.add_argument("--intervals", type=int, default=5000)
-    p.add_argument("--threshold-c", type=float, default=1.3)
+    p.add_argument("--permutations", type=int, default=EdivConfig.num_permutations)
+    p.add_argument("--intervals", type=int, default=WbsConfig.num_intervals)
+    p.add_argument("--threshold-c", type=float, default=WbsConfig.threshold_constant)
 
 
-def _parse_min_seg(text: str | None, n: int, default: int, method: str) -> int:
-    if text is None:
+def _parse_min_seg(spec: tuple | None, n: int, default: int, method: str) -> int:
+    if spec is None:
         return default
-    text = text.strip()
-    value = int(float(text[:-1]) / 100.0 * n) if text.endswith("%") else int(text)
+    text, value, percent = spec
+    value = int(value / 100.0 * n) if percent else value
     floor = _MIN_SEG_FLOOR[method]
     if value < floor:
         raise UnsupportedError(
@@ -249,12 +248,12 @@ def _configure(series: TimeSeries, method: str, args) -> tuple[Callable[[], Segm
                   "seed": args.seed}
         return lambda: select_breaks_bic(tri, max_m), config
     if method == "wbs":
-        min_len = _parse_min_seg(args.min_seg, n, 2, method)
+        min_len = _parse_min_seg(args.min_seg, n, WbsConfig.min_len, method)
         cfg = WbsConfig(num_intervals=args.intervals, threshold_constant=args.threshold_c,
                         max_breaks=args.max_breaks, min_len=min_len, seed=args.seed)
         return lambda: wbs_segment(series, cfg), {"method": method, **dataclasses.asdict(cfg)}
     # edivisive; callers pass only _MIN_SEG_FLOOR keys
-    min_size = _parse_min_seg(args.min_seg, n, 30, method)
+    min_size = _parse_min_seg(args.min_seg, n, EdivConfig.min_size, method)
     cfg = EdivConfig(min_size=min_size, alpha=args.alpha, sig_level=args.level,
                      num_permutations=args.permutations, max_breaks=args.max_breaks,
                      seed=args.seed)

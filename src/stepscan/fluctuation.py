@@ -160,18 +160,16 @@ def long_run_variance(s: TimeSeries, bandwidth: int | str = "auto") -> VarianceE
                             bandwidth=lag, clamped=clamped)
 
 
-def _scaled(residuals: np.ndarray, scale: VarianceEstimate, n: int,
-            cumulative: bool) -> np.ndarray:
+def _scaled(sums: np.ndarray, scale: VarianceEstimate, n: int) -> np.ndarray:
+    """Residual sums divided by sigma * sqrt(n)."""
     sd = math.sqrt(scale.value)
     if sd == 0.0:
-        # A zero scale is only meaningful when there is nothing to scale.
-        if np.any(residuals != 0.0):
+        # A zero scale is only meaningful when there is nothing to scale
+        # (partial sums all vanish exactly when the residuals do).
+        if np.any(sums != 0.0):
             raise DataError("degenerate scale: zero variance with nonzero residuals")
-        k = residuals.size + 1 if cumulative else residuals.size
-        return np.zeros(k)
-    if cumulative:
-        return np.concatenate(([0.0], np.cumsum(residuals))) / (sd * math.sqrt(n))
-    return residuals / (sd * math.sqrt(n))
+        return np.zeros(sums.size)
+    return sums / (sd * math.sqrt(n))
 
 
 def build_process(s: TimeSeries, kind: str,
@@ -186,7 +184,7 @@ def build_process(s: TimeSeries, kind: str,
     if scale is None:
         scale = plain_variance(s)
     resid = recursive_residuals(s) if kind == "rec_cusum" else ols_residuals(s)
-    path = _scaled(resid, scale, s.n, cumulative=True)
+    path = _scaled(np.concatenate(([0.0], np.cumsum(resid))), scale, s.n)
     if kind == "ols_cusum":
         path[-1] = 0.0  # residuals sum to zero by construction; pin rounding
     return FluctuationProcess(path=path, kind=kind, nobs=s.n)
@@ -205,15 +203,20 @@ def mosum_process(s: TimeSeries, bandwidth_fraction: float,
     e = ols_residuals(s)
     cum = np.concatenate(([0.0], np.cumsum(e)))
     sums = cum[h:] - cum[:-h]
-    path = _scaled(sums, scale, s.n, cumulative=False)
+    path = _scaled(sums, scale, s.n)
     return FluctuationProcess(path=path, kind="mosum", nobs=s.n)
+
+
+# Smallest term of the Brownian-bridge sup series that is still added.
+_TERM_TOL = 1e-12
 
 
 def brownian_bridge_sup_pvalue(x: float) -> float:
     """P(sup |B0(t)| > x) by the alternating exponential series.
 
-    Terms are added until they drop below 1e-12; the result is exact to
-    that tolerance and equals 1 at x <= 0.
+    Terms are added until they drop below _TERM_TOL; the result is exact
+    to that tolerance and equals 1 at x <= 0. Once the first term drops
+    out it is 0, so it never lies strictly between 0 and 2 * _TERM_TOL.
     """
     if x <= 0.0:
         return 1.0
@@ -221,7 +224,7 @@ def brownian_bridge_sup_pvalue(x: float) -> float:
     sign = 1.0
     for k in range(1, 100000):
         term = math.exp(-2.0 * k * k * x * x)
-        if term < 1e-12:
+        if term < _TERM_TOL:
             break
         total += sign * term
         sign = -sign
@@ -247,6 +250,8 @@ def brownian_bridge_sup_quantile(level: float) -> float:
     """The constant c with P(sup |B0| > c) = level, by bisection."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
+    if level < 2 * _TERM_TOL:  # the truncated p-value jumps over it
+        raise ValueError(f"level {level} is below the smallest solvable one, {2 * _TERM_TOL:.3g}")
     return _invert(brownian_bridge_sup_pvalue, level)
 
 

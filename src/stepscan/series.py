@@ -116,11 +116,15 @@ class PeriodIndex:
             return f"{year}Q{sub}"
         return f"{year}-{sub:02d}"
 
+    @classmethod
+    def containing(cls, date: dt.date, freq: int) -> "PeriodIndex":
+        """Index starting at the period that holds ``date``; a period spans 12 // freq months."""
+        return cls(date.year, (date.month - 1) // (12 // freq) + 1, freq)
+
     def date(self, i: int) -> dt.date:
         """First calendar day of the period at position ``i``."""
         year, sub = self.stamp(i)
-        month = {1: 1, 4: 3 * (sub - 1) + 1, 12: sub}[self.freq]
-        return dt.date(year, month, 1)
+        return dt.date(year, (sub - 1) * (12 // self.freq) + 1, 1)
 
 
 @dataclass(frozen=True)
@@ -203,21 +207,12 @@ class TimeSeries:
         cumsq.flags.writeable = False
         return cum, cumsq
 
-    def __len__(self) -> int:
-        return self.n
-
     def period_label(self, i: int) -> str:
         """Human-readable stamp of 1-based position ``i``."""
         return self.index.label(i)
 
     def period_date(self, i: int) -> dt.date:
         return self.index.date(i)
-
-    def window(self, i: int, j: int) -> "TimeSeries":
-        """Sub-series of positions ``i..j`` (1-based, inclusive)."""
-        if not 1 <= i <= j <= self.n:
-            raise DataError(f"window [{i}, {j}] outside series of length {self.n}")
-        return TimeSeries(self.values[i - 1 : j], self.index.shifted(i - 1), self.label)
 
     def with_values(self, values: np.ndarray, drop_first: int = 0,
                     label: str | None = None) -> "TimeSeries":

@@ -42,57 +42,45 @@ def _infer_frequency(dates: list[dt.date]) -> int | None:
     return {12: 1, 3: 4, 1: 12}.get(step)
 
 
-def _period_start(date: dt.date, freq: int) -> tuple[int, int]:
-    if freq == 1:
-        return date.year, 1
-    if freq == 4:
-        return date.year, (date.month - 1) // 3 + 1
-    return date.year, date.month
-
-
-def read_csv(path: str, value_column: str | None = None) -> TimeSeries:
+def read_csv(path: str) -> TimeSeries:
     """Parse a series file; interior gaps are an error, end gaps are trimmed.
 
-    Dates come from the DATE column, values from value_column or, by
-    default, the first column other than DATE; both names match in any
-    case.
+    Dates come from the DATE column, matched in any case, and values from
+    the first column other than DATE.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        folded = [h.casefold() for h in header]
-        if "date" not in folded:
-            raise ParseError(f"{path}: no 'DATE' column in header {header}")
-        date_col = folded.index("date")
-        if value_column is not None:
-            if value_column.casefold() not in folded:
-                raise ParseError(f"{path}: no {value_column!r} column in header {header}")
-            value_col = folded.index(value_column.casefold())
-        else:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            folded = [h.casefold() for h in header]
+            if "date" not in folded:
+                raise ParseError(f"{path}: no 'DATE' column in header {header}")
+            date_col = folded.index("date")
             if len(header) < 2:
                 raise ParseError(f"{path}: need at least two columns, got {header}")
             value_col = 1 if date_col == 0 else 0
 
-        rows: list[tuple[dt.date, float | None]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                date = dt.date.fromisoformat(row[date_col].strip())
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad date {row!r}: {exc}") from None
-            raw = row[value_col].strip() if value_col < len(row) else ""
-            if raw in _MISSING:
-                rows.append((date, None))
-                continue
-            try:
-                rows.append((date, float(raw)))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad value {raw!r}") from None
+            rows: list[tuple[dt.date, float | None]] = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                try:
+                    date = dt.date.fromisoformat(row[date_col].strip())
+                except (ValueError, IndexError) as exc:
+                    raise ParseError(f"{path}:{lineno}: bad date {row!r}: {exc}") from None
+                raw = row[value_col].strip() if value_col < len(row) else ""
+                if raw in _MISSING:
+                    rows.append((date, None))
+                    continue
+                try:
+                    rows.append((date, float(raw)))
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: bad value {raw!r}") from None
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
     lo = 0
     hi = len(rows)
@@ -117,8 +105,7 @@ def read_csv(path: str, value_column: str | None = None) -> TimeSeries:
     label = header[value_col]
     if freq is None:
         return TimeSeries(values, DateIndex(tuple(dates)), label=label)
-    year, sub = _period_start(dates[0], freq)
-    return TimeSeries(values, PeriodIndex(year, sub, freq), label=label)
+    return TimeSeries(values, PeriodIndex.containing(dates[0], freq), label=label)
 
 
 def write_csv(s: TimeSeries, path: str) -> None:
@@ -150,5 +137,5 @@ def monthly_to_quarterly(s: TimeSeries, how: str = "mean") -> TimeSeries:
                       " outside full quarters", stacklevel=2)
     block = s.values[lead : lead + usable - trail].reshape(-1, 3)
     values = block.mean(axis=1) if how == "mean" else block[:, 2]
-    y0, m0 = s.index.stamp(1 + lead)
-    return TimeSeries(values, PeriodIndex(y0, (m0 - 1) // 3 + 1, 4), label=s.label)
+    return TimeSeries(values, PeriodIndex.containing(s.period_date(1 + lead), 4),
+                      label=s.label)

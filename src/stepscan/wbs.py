@@ -117,11 +117,10 @@ def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 
 def _draw_intervals(n: int, count: int, min_len: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """count distinct intervals [s..e] with e - s + 1 >= 2*min_len, uniform."""
+    """count distinct intervals [s..e] with e - s + 1 >= 2*min_len, uniform;
+    all of them when count reaches their number. Needs n >= 2*min_len."""
     span = 2 * min_len
     max_start = n - span + 1
-    if max_start < 1 or count == 0:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
     per_start = n - span + 2 - np.arange(1, max_start + 1)  # choices of e per s
     cum = np.cumsum(per_start)
     total = int(cum[-1])
@@ -168,7 +167,7 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
                   f"working set for {count:,} intervals over {n} observations",
                   "lower --intervals")
     rng = np.random.default_rng(cfg.seed)
-    starts, ends = _draw_intervals(n, cfg.num_intervals, cfg.min_len, rng)
+    starts, ends = _draw_intervals(n, count, cfg.min_len, rng)
     sigma = mad_scale(v)
     threshold = cfg.threshold_constant * sigma * math.sqrt(2.0 * math.log(n))
     # Cumulative-sum rounding leaves O(n^1.5 * eps * |y|) of noise in the

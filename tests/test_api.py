@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import ast
 import collections
 import importlib
 import inspect
 import json
 import pkgutil
+import sys
 
 import pytest
 from conftest import REPO
@@ -36,6 +38,22 @@ def test_no_name_is_exported_by_two_modules():
 def test_package_exports_each_module_export_once():
     assert len(stepscan.__all__) == len(set(stepscan.__all__))
     assert set(stepscan.__all__) == {name for m in LIBRARY for name in m.__all__} | {"__version__"}
+
+
+def test_library_imports_only_the_standard_library_and_numpy():
+    """No runtime dependency beyond numpy: every absolute import is stdlib or numpy."""
+    foreign = []
+    for path in sorted((REPO / "src" / "stepscan").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert foreign == []
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -105,6 +105,12 @@ class TestCmdTest:
         assert lines[0] == "t,process,boundary_upper,boundary_lower"
         assert len(lines) == 102  # origin + 100 points + header
 
+    def test_ols_cusum_level_below_the_quantile_floor_exits_1(self, tmp_path, capsys):
+        code, report, _ = run(["test", "--method", "ols-cusum", "--level", "1e-20", NILE],
+                              tmp_path)
+        assert (code, report) == (1, None)
+        assert "level 1e-20 is below the smallest solvable one, 2e-12" in capsys.readouterr().err
+
 
 class TestCmdSegment:
     def test_nile_dp(self, tmp_path):
@@ -119,6 +125,13 @@ class TestCmdSegment:
                                "--max-breaks", "5", NILE], tmp_path)
         assert code == 0
         assert report["config"]["min_len"] == 15
+
+    def test_wbs_zero_intervals(self, tmp_path):
+        code, report, _ = run(["segment", "--method", "wbs", "--intervals", "0", NILE],
+                              tmp_path)
+        assert code == 0
+        assert report["config"]["num_intervals"] == 0
+        assert [b["label"] for b in report["results"]["breaks"]] == ["1898"]
 
     def test_wbs_reports_are_byte_identical(self, tmp_path):
         _, _, out1 = run(["segment", "--method", "wbs", "--seed", "42", NILE],
@@ -153,7 +166,7 @@ class TestCmdSegment:
         plot = tmp_path / "plot.csv"
         main(["segment", "--method", "dp", "--min-seg", "15", "--max-breaks", "3", NILE,
               "--out", str(tmp_path / "r.json"), "--plot", str(plot)])
-        back = ss.read_csv(str(plot), value_column="value")  # "date" matches DATE
+        back = ss.read_csv(str(plot))  # "date" matches DATE
         original = ss.read_csv(NILE)
         np.testing.assert_array_equal(back.values, original.values)
         assert back.index.stamp(1) == original.index.stamp(1)
@@ -401,6 +414,29 @@ class TestProcessLevelContract:
         usage = subprocess.run([sys.executable, "-m", "stepscan.cli", "frobnicate"],
                                capture_output=True, text=True, cwd=str(REPO))
         assert usage.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"], ["--help"], ["test", "--help"], ["segment", "--help"],
+        ["compare", "--help"], ["synth", "--help"],
+    ])
+    def test_version_and_help_exit_0(self, capsys, argv):
+        # help strings are %-formatted only when printed
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("stepscan" if "--version" in argv else "usage:")
+
+    def test_oversized_csv_field_exits_1_with_one_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("DATE,value\n2000-01-01,1\n2001-01-01," + "1" * 200_000 + "\n")
+        proc = subprocess.run([sys.executable, "-m", "stepscan.cli", "test", str(path)],
+                              capture_output=True, text=True, cwd=str(REPO))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith(f"stepscan: {path}:3: field larger than field limit")
 
     def test_dp_table_over_budget_exits_1_before_allocating(self, tmp_path):
         # (max_breaks + 2) * (n + 2) * 8 bytes = 1.15 GB, over the 1 GiB budget

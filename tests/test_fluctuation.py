@@ -205,6 +205,20 @@ class TestBoundaryMath:
             c = ss.brownian_bridge_sup_quantile(level)
             assert ss.brownian_bridge_sup_pvalue(c) == pytest.approx(level, rel=1e-6)
 
+    @pytest.mark.parametrize("level,c", [
+        (0.01, 1.6276236115189504), (0.05, 1.3580986393225225),
+        (0.10, 1.2238478702170825), (1e-11, 3.6070474909193013),
+    ])
+    def test_pinned_quantiles(self, level, c):
+        assert ss.brownian_bridge_sup_quantile(level) == c
+
+    @pytest.mark.parametrize("level", [1.9e-12, 1e-13, 1e-20, 1e-100])
+    def test_quantile_below_the_truncated_series_floor(self, level):
+        # the series drops terms under 1e-12, so the p-value jumps from
+        # 2e-12 to 0 and bisection would stop at the jump, near 3.7169
+        with pytest.raises(ValueError, match="below the smallest solvable one, 2e-12"):
+            ss.brownian_bridge_sup_quantile(level)
+
     @pytest.mark.parametrize("level,lam", [(0.01, 1.143), (0.05, 0.948), (0.10, 0.850)])
     def test_rec_cusum_boundary_constant_is_the_classical_one(self, level, lam):
         # the root of the crossing probability, rounded as in the tables

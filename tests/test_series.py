@@ -60,15 +60,14 @@ class TestTimeSeries:
         assert idx.position(1973, 4) == 108
         assert idx.date(2).isoformat() == "1947-04-01"
 
-    def test_window(self):
-        s = ss.TimeSeries(np.arange(10.0), ss.PeriodIndex(1990, 1, 4))
-        w = s.window(3, 6)
-        assert w.n == 4
-        assert len(w) == 4
-        assert w.period_label(1) == "1990Q3"
-        np.testing.assert_array_equal(w.values, [2, 3, 4, 5])
-        with pytest.raises(ss.DataError, match="outside series of length 10"):
-            s.window(4, 11)
+    @pytest.mark.parametrize("freq", [1, 4, 12])
+    def test_every_month_maps_to_the_period_holding_it(self, freq):
+        idx = ss.PeriodIndex(1990, 1, freq)
+        for i in range(1, 30):
+            first = idx.date(i)
+            for month in range(first.month, first.month + 12 // freq):
+                held = ss.PeriodIndex.containing(first.replace(month=month, day=15), freq)
+                assert held == idx.shifted(i - 1)
 
     def test_rejects_two_dimensional_values(self):
         with pytest.raises(ss.DataError, match="one-dimensional"):

@@ -58,15 +58,10 @@ class TestReadCsv:
         with pytest.raises(ss.ParseError, match="DATE"):
             ss.read_csv(path)
 
-    def test_named_value_column(self, tmp_path):
-        path = write(tmp_path, "DATE,a,b\n2000-01-01,1,10\n2001-01-01,2,20\n")
-        s = ss.read_csv(path, value_column="b")
-        np.testing.assert_array_equal(s.values, [10.0, 20.0])
-
-    def test_unknown_value_column(self, tmp_path):
-        path = write(tmp_path, "DATE,a\n2000-01-01,1\n")
-        with pytest.raises(ss.ParseError, match="no 'b' column"):
-            ss.read_csv(path, value_column="b")
+    def test_oversized_field_names_the_line(self, tmp_path):
+        path = write(tmp_path, "DATE,x\n2000-01-01,1\n2001-01-01," + "1" * 200_000 + "\n")
+        with pytest.raises(ss.ParseError, match=f"^{path}:3: field larger than field limit"):
+            ss.read_csv(path)
 
     def test_value_column_before_date(self, tmp_path):
         first = ss.read_csv(write(tmp_path, "value,DATE\n1,2000-01-01\n2,2000-04-01\n",

@@ -259,6 +259,19 @@ class TestWbsSegment:
         seg = ss.wbs_segment(sig, ss.WbsConfig(num_intervals=0, seed=0))
         assert seg.breaks == (30, 60)
 
+    @pytest.mark.parametrize("min_len", [2, 5, 12])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_zero_intervals_equals_all_pairs_recursion(self, seed, min_len):
+        # no draw at all: only the segments themselves are scanned
+        sig, _ = ss.make_step_signal([0.0, 3.0, -1.0, 2.0], [40, 25, 30, 45], seed=seed)
+        cfg = ss.WbsConfig(num_intervals=0, min_len=min_len, seed=seed)
+        got = ss.wbs_segment(sig, cfg)
+        want = all_pairs_wbs_segment(sig, cfg)
+        assert got.num_breaks > 0
+        assert got.breaks == want.breaks
+        assert got.criterion_trace == want.criterion_trace
+        assert got.segment_means == want.segment_means
+
     def test_too_short_series(self):
         with pytest.raises(ss.DataError):
             ss.wbs_segment(ss.TimeSeries([1.0, 2.0, 3.0], ss.PeriodIndex(1900)),
