@@ -18,7 +18,7 @@ import time
 from typing import Callable
 
 from . import __version__
-from .dating import _check_breaks, _most_breaks, build_rss_triangle, fitted_step, select_breaks_bic
+from .dating import _check_dp, _most_breaks, build_rss_triangle, fitted_step, select_breaks_bic
 from .edivisive import EdivConfig, e_divisive
 from .fluctuation import (
     build_process,
@@ -53,11 +53,12 @@ def _min_seg_arg(text: str) -> tuple[str, float, bool]:
     percent = spec.endswith("%")
     try:
         value = float(spec[:-1]) if percent else int(spec)
-        if percent and not math.isfinite(value):
-            raise ValueError(spec)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a count or a percentage like '10%', got {text!r}") from None
+    if percent and not (math.isfinite(value) and value <= 100.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite percentage of at most 100%, got {text!r}")
     return spec, value, percent
 
 
@@ -192,11 +193,11 @@ def _segmentation_results(series: TimeSeries, seg: Segmentation) -> dict:
         "segment_means": list(seg.segment_means),
         "rss": seg.rss_total,
         "min_len": seg.min_len,
-        "criterion_trace": [[k, _finite(v)] for k, v in (seg.criterion_trace or ())],
+        "criterion_trace": [[k, _finite(v)] for k, v in seg.criterion_trace],
     }
 
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> None:
     series, input_block = _load(args)
     if args.variance == "long-run":
         scale = long_run_variance(series, args.lrv_bandwidth)
@@ -216,7 +217,7 @@ def cmd_test(args) -> int:
         "variance": args.variance,
         "lrv_bandwidth": args.lrv_bandwidth if args.variance == "long-run" else None,
         "mosum_bandwidth": args.mosum_bandwidth if kind == "mosum" else None,
-        "critical": args.critical,
+        "critical": args.critical if kind == "mosum" else None,
         "seed": args.seed,
     }
     results = {
@@ -233,7 +234,6 @@ def cmd_test(args) -> int:
         rows = zip(process.times.tolist(), process.path.tolist(), result.upper.tolist(),
                    (-result.upper).tolist())
         _write(args.plot, _csv(["t", "process", "boundary_upper", "boundary_lower"], rows))
-    return 0
 
 
 def _configure(series: TimeSeries, method: str, args) -> tuple[Callable[[], Segmentation], dict]:
@@ -241,9 +241,9 @@ def _configure(series: TimeSeries, method: str, args) -> tuple[Callable[[], Segm
     n = series.n
     if method == "dp":
         min_len = _parse_min_seg(args.min_seg, n, max(1, int(0.15 * n)), method)
-        tri = build_rss_triangle(series, min_len)
         max_m = args.max_breaks if args.max_breaks is not None else min(5, _most_breaks(n, min_len))
-        _check_breaks(n, min_len, max_m)
+        _check_dp(n, min_len, max_m)
+        tri = build_rss_triangle(series, min_len)
         config = {"method": "dp", "min_len": min_len, "max_breaks": max_m,
                   "seed": args.seed}
         return lambda: select_breaks_bic(tri, max_m), config
@@ -260,7 +260,7 @@ def _configure(series: TimeSeries, method: str, args) -> tuple[Callable[[], Segm
     return lambda: e_divisive(series, cfg), {"method": method, **dataclasses.asdict(cfg)}
 
 
-def cmd_segment(args) -> int:
+def cmd_segment(args) -> None:
     series, input_block = _load(args)
     run, config = _configure(series, args.method, args)
     seg = run()
@@ -268,7 +268,6 @@ def cmd_segment(args) -> int:
     if args.plot:
         rows = _fit_rows(series, [fitted_step(series, seg)])
         _write(args.plot, _csv(["date", "value", "fitted"], rows))
-    return 0
 
 
 def _nearest(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -278,7 +277,7 @@ def _nearest(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(x, min(b, key=lambda y: abs(x - y))) for x in a]
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise UnsupportedError("compare needs at least two methods, e.g. --methods dp,edivisive")
@@ -320,10 +319,9 @@ def cmd_compare(args) -> int:
     if args.plot:
         rows = _fit_rows(series, [fitted_step(series, segs[m]) for m in methods])
         _write(args.plot, _csv(["date", "value"] + [f"fitted_{m}" for m in methods], rows))
-    return 0
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     try:
         means = [float(x) for x in args.means.split(",")]
         lengths = [int(x) for x in args.lengths.split(",")]
@@ -337,7 +335,6 @@ def cmd_synth(args) -> int:
     if args.truth:
         rows = [(b, series.period_date(b).isoformat()) for b in true_breaks]
         _write(args.truth, _csv(["break_index", "break_date"], rows))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        code = args.func(args)
+        args.func(args)
     except UnsupportedError as exc:
         print(f"stepscan: {exc}", file=sys.stderr)
         return 2
@@ -401,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(f"stepscan: completed in {(time.perf_counter() - started) * 1e3:.1f} ms",
           file=sys.stderr)
-    return code
+    return 0
 
 
 def entrypoint() -> None:

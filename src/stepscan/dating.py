@@ -53,8 +53,7 @@ class RssTriangle:
 
 def build_rss_triangle(s: TimeSeries, min_len: int) -> RssTriangle:
     """Pair a series with the minimal segment length of its partitions."""
-    if not 1 <= min_len <= s.n:
-        raise ValueError(f"min_len must be in 1..{s.n}, got {min_len}")
+    _check_dp(s.n, min_len, 0)
     return RssTriangle(series=s, min_len=min_len)
 
 
@@ -63,15 +62,20 @@ def _most_breaks(n: int, min_len: int) -> int:
     return n // min_len - 1
 
 
-def _check_breaks(n: int, min_len: int, m: int) -> None:
-    """Raise ValueError unless 0 <= m <= _most_breaks(n, min_len)."""
-    if m < 0:
-        raise ValueError(f"max_breaks must be nonnegative, got {m}")
-    if m > _most_breaks(n, min_len):
+def _check_dp(n: int, min_len: int, max_breaks: int) -> None:
+    """Raise before allocating unless min_len, max_breaks and the cost table fit n."""
+    if not 1 <= min_len <= n:
+        raise ValueError(f"min_len must be in 1..{n}, got {min_len}")
+    if max_breaks < 0:
+        raise ValueError(f"max_breaks must be nonnegative, got {max_breaks}")
+    if max_breaks > _most_breaks(n, min_len):
         raise ValueError(
-            f"max_breaks = {m} infeasible: {m + 1} segments of at least"
+            f"max_breaks = {max_breaks} infeasible: {max_breaks + 1} segments of at least"
             f" {min_len} observations do not fit into {n}"
         )
+    _check_budget(8 * (max_breaks + 2) * (n + 2), "the dynamic program",
+                  f"cost table for {max_breaks} breaks over {n} observations",
+                  "lower --max-breaks or raise --min-seg")
 
 
 # Starts per block of the pruned Bellman sweep.
@@ -138,9 +142,6 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     spans and nothing can be dropped.
     """
     s, n, h = tri.series, tri.n, tri.min_len
-    _check_budget(8 * (jmax + 1) * (n + 2), "the dynamic program",
-                  f"cost table for {jmax - 1} breaks over {n} observations",
-                  "lower --max-breaks or raise --min-seg")
     D = np.full((jmax + 1, n + 2), np.inf)
     D[1, 1 : n - h + 2] = _span_rss(s, np.arange(1, n - h + 2), n)
     if jmax < 2:
@@ -367,8 +368,8 @@ def optimal_breaks(tri: RssTriangle, m: int) -> Segmentation:
     Ties between partitions with equal RSS go to the lexicographically
     smallest break vector.
     """
-    _check_breaks(tri.n, tri.min_len, m)
-    breaks = [] if m == 0 else _reconstruct(tri, _suffix_costs(tri, m + 1), m)
+    _check_dp(tri.n, tri.min_len, m)
+    breaks = _reconstruct(tri, _suffix_costs(tri, m + 1), m)
     return segmentation_from_breaks(tri.series, breaks, min_len=tri.min_len)
 
 
@@ -390,12 +391,12 @@ def select_breaks_bic(tri: RssTriangle, max_m: int) -> Segmentation:
 
     The returned Segmentation carries the full (m, BIC) trace.
     """
-    _check_breaks(tri.n, tri.min_len, max_m)
+    _check_dp(tri.n, tri.min_len, max_m)
     D = _suffix_costs(tri, max_m + 1)
     rss_by_m = D[1:, 1]  # D[m+1, 1] is the m-break optimum over the full span
     trace = [(float(m), bic_value(tri.n, float(rss_by_m[m]), m)) for m in range(max_m + 1)]
     best_m = min(range(max_m + 1), key=lambda m: (trace[m][1], m))
-    breaks = [] if best_m == 0 else _reconstruct(tri, D, best_m)
+    breaks = _reconstruct(tri, D, best_m)
     return segmentation_from_breaks(tri.series, breaks, min_len=tri.min_len, trace=trace)
 
 
@@ -403,7 +404,5 @@ def fitted_step(s: TimeSeries, seg: Segmentation) -> TimeSeries:
     """Per-segment means replicated over each segment, for plots/reports."""
     if seg.n != s.n:
         raise ValueError(f"segmentation covers {seg.n} observations, series has {s.n}")
-    out = np.empty(s.n)
-    for (a, b), mean in zip(seg.bounds(), seg.segment_means):
-        out[a - 1 : b] = mean
+    out = np.repeat(seg.segment_means, np.diff((0,) + seg.breaks + (seg.n,)))
     return s.with_values(out, label=f"{s.label} (step fit)".strip())

@@ -192,8 +192,6 @@ def e_divisive(s: TimeSeries, cfg: EdivConfig = EdivConfig()) -> Segmentation:
             if c is not None:
                 candidates.append(c)
 
-    accepted.sort(key=lambda t: t[0])
-    return segmentation_from_breaks(
-        s, [b for b, _ in accepted], min_len=cfg.min_size,
-        trace=[(float(b), p) for b, p in accepted],
-    )
+    accepted.sort()
+    return segmentation_from_breaks(s, [b for b, _ in accepted], min_len=cfg.min_size,
+                                    trace=accepted)

@@ -325,7 +325,7 @@ class Segmentation:
     segment_means: tuple[float, ...]
     rss_total: float
     min_len: int
-    criterion_trace: tuple[tuple[float, float], ...] | None = None
+    criterion_trace: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         bs = tuple(int(b) for b in self.breaks)
@@ -384,8 +384,7 @@ def _span_rss(s: TimeSeries, i, j):
 
 
 def segmentation_from_breaks(s: TimeSeries, breaks: Sequence[int], min_len: int,
-                             trace: Sequence[tuple[float, float]] | None = None,
-                             ) -> Segmentation:
+                             trace: Sequence[tuple[float, float]] = ()) -> Segmentation:
     """Build a Segmentation with means and RSS from the series cumulants.
 
     Segment RSS values accumulate right to left as in the dynamic
@@ -404,5 +403,5 @@ def segmentation_from_breaks(s: TimeSeries, breaks: Sequence[int], min_len: int,
         segment_means=tuple(float(m) for m in (cum[edges[1:]] - cum[edges[:-1]]) / lens),
         rss_total=float(rss),
         min_len=min_len,
-        criterion_trace=None if trace is None else tuple((float(a), float(b)) for a, b in trace),
+        criterion_trace=tuple((float(a), float(b)) for a, b in trace),
     )

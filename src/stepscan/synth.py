@@ -12,6 +12,9 @@ from .series import DateIndex, TimeSeries
 
 __all__ = ["make_step_signal"]
 
+_START = dt.date(2000, 1, 1)
+_MOST_DAYS = (dt.date.max - _START).days + 1
+
 
 def _ar1_noise(n: int, rho: float, sigma: float, rng: np.random.Generator) -> np.ndarray:
     innov = rng.standard_normal(n) * sigma
@@ -30,13 +33,18 @@ def make_step_signal(means: Sequence[float], lengths: Sequence[int],
 
     means and lengths must pair up; noise is "gaussian" (i.i.d.) or
     "ar1" (innovation scale sigma, autoregression rho). The series gets
-    consecutive daily dates from 2000-01-01. Returns (series, breaks) where
-    breaks follow the last-index-of-segment convention.
+    consecutive daily dates from 2000-01-01, at most 2,921,940 of them.
+    Returns (series, breaks) where breaks follow the last-index-of-segment
+    convention.
     """
     if len(means) != len(lengths):
         raise ValueError(f"{len(means)} means for {len(lengths)} lengths")
     if not lengths or any(l < 1 for l in lengths):
         raise ValueError("segment lengths must be positive")
+    n = int(sum(lengths))
+    if n > _MOST_DAYS:
+        raise ValueError(f"at most {_MOST_DAYS:,} observations fit the daily dates from"
+                         f" {_START} to {dt.date.max}, got {n:,}")
     if not math.isfinite(sigma) or sigma < 0:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     bad = [i for i, m in enumerate(means, 1) if not math.isfinite(m)]
@@ -47,7 +55,6 @@ def make_step_signal(means: Sequence[float], lengths: Sequence[int],
     if noise == "ar1" and not -1.0 < rho < 1.0:
         raise ValueError(f"ar1 noise needs |rho| < 1, got {rho}")
 
-    n = int(sum(lengths))
     signal = np.repeat(np.asarray(means, dtype=float), np.asarray(lengths, dtype=int))
     rng = np.random.default_rng(seed)
     if sigma == 0.0:
@@ -56,8 +63,7 @@ def make_step_signal(means: Sequence[float], lengths: Sequence[int],
         e = rng.standard_normal(n) * sigma
     else:
         e = _ar1_noise(n, rho, sigma, rng)
-    start = dt.date(2000, 1, 1)
-    dates = tuple(start + dt.timedelta(days=i) for i in range(n))
+    dates = tuple(_START + dt.timedelta(days=i) for i in range(n))
     series = TimeSeries(signal + e, DateIndex(dates), label="synthetic")
     breaks = tuple(np.cumsum(lengths)[:-1].astype(int).tolist())
     return series, breaks

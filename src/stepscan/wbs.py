@@ -208,8 +208,5 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
     if cfg.max_breaks is not None and len(found) > cfg.max_breaks:
         found.sort(key=lambda t: (-t[1], t[0]))
         found = found[: cfg.max_breaks]
-    found.sort(key=lambda t: t[0])
-    return segmentation_from_breaks(
-        s, [b for b, _ in found], min_len=cfg.min_len,
-        trace=[(float(b), stat) for b, stat in found],
-    )
+    found.sort()
+    return segmentation_from_breaks(s, [b for b, _ in found], min_len=cfg.min_len, trace=found)

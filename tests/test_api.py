@@ -7,6 +7,7 @@ import inspect
 import json
 import pkgutil
 import sys
+import warnings
 
 import pytest
 from conftest import REPO
@@ -38,6 +39,17 @@ def test_no_name_is_exported_by_two_modules():
 def test_package_exports_each_module_export_once():
     assert len(stepscan.__all__) == len(set(stepscan.__all__))
     assert set(stepscan.__all__) == {name for m in LIBRARY for name in m.__all__} | {"__version__"}
+
+
+def test_version_has_one_source(monkeypatch):
+    """pyproject.toml reads the package version from stepscan.__version__."""
+    config = pytest.importorskip("setuptools.config.pyprojecttoml")
+    monkeypatch.chdir(REPO)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools marks [tool.setuptools] as beta
+        project = config.read_configuration(REPO / "pyproject.toml")["project"]
+    assert "version" in project["dynamic"]
+    assert project["version"] == stepscan.__version__
 
 
 def test_library_imports_only_the_standard_library_and_numpy():

@@ -29,6 +29,14 @@ def run(args, tmp_path, name="report.json"):
     return code, (json.loads(out.read_text()) if out.exists() else None), out
 
 
+def write_monthly_csv(tmp_path, n):
+    """A monthly series of n rows from the year 1000, cycling through 0..6."""
+    path = tmp_path / "long.csv"
+    rows = ["DATE,value"] + [f"{1000 + i // 12}-{i % 12 + 1:02d}-01,{i % 7}" for i in range(n)]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 def write_constant_csv(tmp_path, n=30, value=5.0):
     path = tmp_path / "const.csv"
     rows = ["DATE,x"] + [f"{1900 + i}-01-01,{value}" for i in range(n)]
@@ -64,6 +72,15 @@ class TestCmdTest:
         assert code == 0
         assert report["results"]["p_value"] is None
         assert isinstance(report["results"]["crossed"], bool)
+
+    @pytest.mark.parametrize("method,recorded", [
+        ("ols-cusum", None), ("rec-cusum", None), ("mosum", 3.0),
+    ])
+    def test_critical_recorded_only_for_mosum(self, tmp_path, method, recorded):
+        # the value plays no part in a CUSUM test
+        code, report, _ = run(["test", "--method", method, "--critical", "3", NILE], tmp_path)
+        assert code == 0
+        assert report["config"]["critical"] == recorded
 
     def test_long_run_variance_option(self, tmp_path):
         code, report, _ = run(["test", "--method", "ols-cusum", "--variance", "long-run",
@@ -211,7 +228,8 @@ class TestCmdSegment:
         assert "critical must be finite" in err
         assert "Out of range" not in err
 
-    @pytest.mark.parametrize("min_seg", ["nan%", "inf%", "abc", "1.5"])
+    # 1e308% used to end in an OverflowError traceback
+    @pytest.mark.parametrize("min_seg", ["nan%", "inf%", "abc", "1.5", "101%", "1e308%"])
     def test_malformed_min_seg_is_argparse_error(self, capsys, min_seg):
         with pytest.raises(SystemExit) as err:
             main(["segment", "--method", "dp", "--min-seg", min_seg, NILE])
@@ -273,6 +291,19 @@ class TestCmdCompare:
                      NILE]) == 1
         assert "max_breaks = 20 infeasible" in capsys.readouterr().err
 
+    def test_dp_table_over_budget_checked_before_any_method_runs(self, capsys, monkeypatch,
+                                                                 tmp_path):
+        def spy(*args, **kwargs):
+            pytest.fail("WBS ran before the DP's table budget was checked")
+
+        monkeypatch.setattr(stepscan.cli, "wbs_segment", spy)
+        # (9999 + 2) * (20000 + 2) * 8 bytes, over the 1 GiB budget
+        path = write_monthly_csv(tmp_path, 20000)
+        assert main(["compare", "--methods", "wbs,dp", "--min-seg", "2",
+                     "--max-breaks", "9999", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stepscan: the dynamic program would need a 1,600,320,016-byte")
+
     def test_same_method_twice_rejected(self, capsys):
         assert main(["compare", "--methods", "dp,dp", NILE]) == 2
 
@@ -327,6 +358,18 @@ class TestCmdSynth:
         assert main(["synth", "--means", "0,5", "--lengths", "20"]) == 2
         assert main(["synth", "--means", "0", "--lengths", "-4"]) == 2
 
+    @pytest.mark.parametrize("lengths", ["3000000", "1000000000000", "2921940,1"])
+    def test_length_past_the_calendar_exits_2_with_one_line(self, capsys, lengths):
+        # daily dates past 9999-12-31 used to end in an OverflowError traceback,
+        # and 1e12 observations in a numpy MemoryError traceback
+        assert main(["synth", "--means", ",".join(["0"] * len(lengths.split(","))),
+                     "--lengths", lengths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("stepscan: invalid signal spec: at most 2,921,940 observations")
+
     @pytest.mark.parametrize("flag", [["--plot", "p.csv"], ["--log"], ["--deflate", "d.csv"],
                                       ["--returns", "abs"], ["--quarterly", "mean"],
                                       ["--deflate-base", "2000"]])
@@ -356,6 +399,7 @@ _FUZZ_FLAGS = {
     "test": ["--level", "--variance", "--lrv-bandwidth", "--mosum-bandwidth", "--critical"],
     "segment": _DATING_FLAGS,
     "compare": _DATING_FLAGS,
+    "synth": ["--sigma", "--rho", "--seed"],
 }
 
 
@@ -363,8 +407,13 @@ _FUZZ_FLAGS = {
 def fuzz_argv(draw):
     """argv from a small grammar of subcommands, flags and hostile values."""
     value = st.sampled_from(_FUZZ_VALUES)
-    command = draw(st.sampled_from(["test", "segment", "compare", "bogus"]))
+    command = draw(st.sampled_from(["test", "segment", "compare", "synth", "bogus"]))
     argv = [command]
+    if command == "synth":
+        # lengths past the calendar or the memory must not be built
+        argv += ["--means", draw(st.sampled_from(["0", "0,5", "nan", "abc"])),
+                 "--lengths", draw(st.sampled_from(["30", "30,30", "0", "-5", "abc", "3000000",
+                                                    "1000000000000"]))]
     if command == "test":
         argv += ["--method", draw(st.sampled_from(["ols-cusum", "rec-cusum", "mosum"]))]
     elif command == "segment":
@@ -376,12 +425,15 @@ def fuzz_argv(draw):
         # Small caps keep each run to milliseconds.
         argv += ["--permutations", draw(st.sampled_from(["-1", "0", "9"])),
                  "--intervals", draw(st.sampled_from(["-1", "0", "50"]))]
-        min_seg = draw(st.sampled_from([None, "0", "0%", "-1", "1", "15", "10%", "nan%", "abc"]))
+        min_seg = draw(st.sampled_from([None, "0", "0%", "-1", "1", "15", "10%", "nan%", "abc",
+                                        "101%", "1e308%"]))
         if min_seg is not None:
             argv += ["--min-seg", min_seg]
     for flag in _FUZZ_FLAGS.get(command, []):
         if draw(st.booleans()):
             argv += [flag, draw(value)]
+    if command == "synth":
+        return argv
     if draw(st.booleans()):
         argv.append("--log")
     argv.append(draw(st.sampled_from([NILE, str(FIXTURES / "no-such.csv")])))
@@ -441,10 +493,7 @@ class TestProcessLevelContract:
     def test_dp_table_over_budget_exits_1_before_allocating(self, tmp_path):
         # (max_breaks + 2) * (n + 2) * 8 bytes = 1.15 GB, over the 1 GiB budget
         n = 12000
-        path = tmp_path / "long.csv"
-        rows = ["DATE,value"] + [f"{1000 + i // 12}-{i % 12 + 1:02d}-01,{i % 7}"
-                                 for i in range(n)]
-        path.write_text("\n".join(rows) + "\n")
+        path = write_monthly_csv(tmp_path, n)
         proc = subprocess.run(
             [sys.executable, "-m", "stepscan.cli", "segment", "--method", "dp",
              "--min-seg", "1", "--max-breaks", str(n - 1), str(path)],
@@ -466,10 +515,7 @@ class TestProcessLevelContract:
                                                                planned):
         # the address-space cap turns a missed check into a quick MemoryError
         n = 20000
-        path = tmp_path / "long.csv"
-        rows = ["DATE,value"] + [f"{1000 + i // 12}-{i % 12 + 1:02d}-01,{i % 7}"
-                                 for i in range(n)]
-        path.write_text("\n".join(rows) + "\n")
+        path = write_monthly_csv(tmp_path, n)
 
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

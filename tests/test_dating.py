@@ -70,6 +70,7 @@ class TestOptimalBreaks:
         tri = ss.build_rss_triangle(annual(v), 5)
         seg = ss.optimal_breaks(tri, 0)
         assert seg.breaks == ()
+        assert seg.criterion_trace == ()
         assert seg.rss_total == pytest.approx(_span_rss(tri.series, 1, 30), rel=1e-14)
 
     def test_noiseless_step(self):
@@ -83,6 +84,13 @@ class TestOptimalBreaks:
         tri = ss.build_rss_triangle(annual(np.arange(10.0)), 4)
         with pytest.raises(ValueError):
             ss.optimal_breaks(tri, 2)
+
+    def test_over_budget_raises_before_the_table_is_built(self):
+        # (11999 + 2) * (12000 + 2) * 8 bytes, over the 1 GiB budget
+        tri = ss.build_rss_triangle(annual(np.arange(12000.0)), 1)
+        with mock.patch.object(dating, "_suffix_costs", side_effect=AssertionError("ran")):
+            with pytest.raises(ss.DataError, match="1,152,288,016-byte"):
+                ss.optimal_breaks(tri, 11999)
 
     def test_negative_break_count(self):
         tri = ss.build_rss_triangle(annual(np.arange(10.0)), 4)

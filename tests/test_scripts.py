@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 import sys
 
@@ -26,3 +27,15 @@ def test_wti_dating_runs_all_three_methods():
     for name in ("dp", "edivisive", "wbs(cap 10)"):
         assert f"\n{name}: " in proc.stdout
     assert "1973Q4" in proc.stdout
+
+
+def test_rebuild_fixtures_reproduces_the_checked_in_csvs(tmp_path):
+    # the script writes to fixtures/ next to its own scripts/ directory
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(REPO / "scripts" / "rebuild_fixtures.py", tmp_path / "scripts")
+    proc = subprocess.run([sys.executable, str(tmp_path / "scripts" / "rebuild_fixtures.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("nile.csv", "oilprice_raw.csv", "gdpdef.csv"):
+        rebuilt = (tmp_path / "fixtures" / name).read_bytes()
+        assert rebuilt == (REPO / "fixtures" / name).read_bytes(), name

@@ -54,3 +54,11 @@ def test_non_finite_spec_names_its_parameter(kwargs, name):
     spec = {"means": [0.0, 5.0], "lengths": [10, 10], "sigma": 1.0, **kwargs}
     with pytest.raises(ValueError, match=name):
         ss.make_step_signal(**spec)
+
+
+@pytest.mark.parametrize("lengths", [[2_921_940, 1], [3_000_000], [10 ** 12]])
+def test_lengths_past_the_calendar_are_rejected_before_any_array(lengths):
+    # daily dates from 2000-01-01 end at 9999-12-31, observation 2,921,940;
+    # 10**12 observations would ask numpy for 7.28 TiB
+    with pytest.raises(ValueError, match="at most 2,921,940 observations"):
+        ss.make_step_signal([0.0] * len(lengths), lengths)
