@@ -16,8 +16,12 @@ import numpy as np
 
 from .series import _EPS, DataError, Segmentation, TimeSeries, segmentation_from_breaks
 
-# Rows of the distance triangle summed per block at alpha < 2.
+# Rows of the distance triangle summed per block at alpha other than 1 and 2.
 _BLOCK_ROWS = 128
+# Positions per block of the rank kernel at alpha = 1.
+_BLOCK_POS = 24
+# Values held by one batch of permutation replicates (rows * n).
+_BATCH_CELLS = 1 << 14
 
 __all__ = [
     "EdivConfig",
@@ -56,55 +60,106 @@ class EdivConfig:
             raise ValueError("num_permutations must be positive")
         if self.max_breaks is not None and self.max_breaks < 0:
             raise ValueError(f"max_breaks must be nonnegative, got {self.max_breaks}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
+
+def _triangle_sums(rows: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and full row sums of |x_i - x_j|^alpha for each row of rows.
+
+    The strictly lower triangle is summed in blocks of _BLOCK_ROWS rows.
+    """
+    n = rows.shape[1]
+    low = np.empty(rows.shape)
+    col = np.zeros(rows.shape)
+    for v, low_v, col_v in zip(rows, low, col):
+        for a in range(0, n, _BLOCK_ROWS):
+            z = min(a + _BLOCK_ROWS, n)
+            d = np.abs(v[a:z, None] - v[None, :z]) ** alpha
+            d[:, a:] *= np.tri(z - a, k=-1)
+            low_v[a:z] = d.sum(axis=1)
+            col_v[:z] += d.sum(axis=0)
+    return low, low + col
+
+
+def _rank_sums(v: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and full row sums of |x_i - x_j| for each row x of v[perms].
+
+    Every row holds the same values, so one stable argsort serves them
+    all; centring on the median element makes constant data exact
+    zeros. full[i] comes from the sorted prefix sums, and
+    low[i] = x_i (2 cnt_i - i) - 2 sb_i + ps_i, with cnt_i and sb_i the
+    count and sum of earlier values of lower rank and ps_i the sum of
+    all earlier values. cnt and sb come from a table of the ranks seen
+    so far, cumulated once per block of _BLOCK_POS positions, plus a
+    dense triangle within the block: O(n^2 / B + n B) per row.
+    """
+    n = v.size
+    order = np.argsort(v, kind="stable")
+    xs = v[order] - v[order[n // 2]]
+    prefix = np.concatenate(([0.0], np.cumsum(xs)))
+    pos = np.arange(n)
+    full = xs * (2 * pos - n) - 2.0 * prefix[:-1] + prefix[-1]
+    ranks = np.argsort(order)[perms]
+    x = xs[ranks]
+    ps = np.cumsum(x, axis=1) - x
+    found = np.empty(x.shape + (2,))  # (cnt, sb) per position
+    seen = np.zeros(x.shape + (2,))  # (1, value) per rank seen in earlier blocks
+    at = np.arange(x.shape[0])[:, None]
+    for a in range(0, n, _BLOCK_POS):
+        z = min(a + _BLOCK_POS, n)
+        kb = ranks[:, a:z]
+        pairs = (kb[:, None, :] < kb[:, :, None]) & np.tri(z - a, k=-1, dtype=bool)
+        block = np.stack((np.ones(kb.shape), x[:, a:z]), axis=2)
+        found[:, a:z] = np.cumsum(seen, axis=1)[at, kb] + pairs.astype(float) @ block
+        seen[at, kb] = block
+    return x * (2.0 * found[..., 0] - pos) - 2.0 * found[..., 1] + ps, full[ranks]
 
 
 def _split_divergences(values: np.ndarray, alpha: float, min_size: int,
+                       perms: np.ndarray | None = None,
                        ) -> tuple[np.ndarray, np.ndarray, float | None] | None:
-    """Q for every admissible split of values; None when none exists.
+    """Q for every admissible split of each row of values[perms]; None when none exists.
 
-    Returns (bs, q, total) where split b puts values[:b] left and
-    values[b:] right, both sides at least min_size long, and total is
-    the sum of |v_i - v_j|^alpha over all ordered pairs (the scale of
-    the rounding error in q; it does not change under permutation).
-    total is None at alpha = 2, whose branch forms no pairwise sums.
+    Returns (bs, q, total) where split b puts a row's first b values
+    left and the rest right, both sides at least min_size long; perms
+    defaults to the identity and q has shape perms.shape[:-1] + bs.shape.
+    total is the sum of |v_i - v_j|^alpha over all ordered pairs (the
+    scale of the rounding error in q; it does not change under
+    permutation), or None at alpha = 2, whose branch forms no pairwise sums.
 
-    At alpha < 2 the within and between sums need only two row sums of
-    the strictly lower distance triangle: low[i] = sum_{j<i} d[i, j] and
-    col[j] = sum_{i>j} d[i, j]. They are accumulated over blocks of
-    _BLOCK_ROWS rows, so memory stays O(_BLOCK_ROWS * n).
+    At alpha < 2 the within and between sums need only the row sums
+    low[i] = sum_{j<i} d[i, j] and full[i] = sum_j d[i, j]: from
+    _rank_sums at alpha = 1, from _triangle_sums at any other alpha.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
     if n < 2 * min_size:
         return None
+    perms = np.arange(n) if perms is None else np.asarray(perms)
+    rows = perms.reshape(-1, n)
     bs = np.arange(min_size, n - min_size + 1)
     nl = bs.astype(float)
     nr = n - nl
     if alpha == 2.0:
         # E = 2 * (mean_l - mean_r)^2; no pairwise distances needed.
-        cum = np.concatenate(([0.0], np.cumsum(v)))
-        delta = cum[bs] / nl - (cum[n] - cum[bs]) / nr
+        cum = np.zeros((rows.shape[0], n + 1))
+        np.cumsum(v[rows], axis=1, out=cum[:, 1:])
+        delta = cum[:, bs] / nl - (cum[:, n:] - cum[:, bs]) / nr
         energy = 2.0 * delta * delta
         total = None
     else:
-        low = np.empty(n)
-        col = np.zeros(n)
-        for a in range(0, n, _BLOCK_ROWS):
-            z = min(a + _BLOCK_ROWS, n)
-            d = np.abs(v[a:z, None] - v[None, :z]) ** alpha
-            d[:, a:] *= np.tri(z - a, k=-1)
-            low[a:z] = d.sum(axis=1)
-            col[:z] += d.sum(axis=0)
-        cum_low = np.cumsum(low)
-        cum_all = np.cumsum(low + col)
-        total = float(cum_all[-1])
-        corner = 2.0 * cum_low[bs - 1]
-        edge = cum_all[bs - 1]
-        between = edge - corner
-        within_l = corner
-        within_r = total - 2.0 * edge + corner
-        energy = 2.0 * between / (nl * nr) - within_l / (nl * nl) - within_r / (nr * nr)
-    return bs, nl * nr / n * energy, total
+        low, full = _rank_sums(v, rows) if alpha == 1.0 else _triangle_sums(v[rows], alpha)
+        cum_low = np.cumsum(low, axis=1)
+        cum_all = np.cumsum(full, axis=1)
+        totals = cum_all[:, -1:]
+        corner = 2.0 * cum_low[:, bs - 1]
+        edge = cum_all[:, bs - 1]
+        within_r = totals - 2.0 * edge + corner
+        energy = 2.0 * (edge - corner) / (nl * nr) - corner / (nl * nl) - within_r / (nr * nr)
+        total = float(totals[0, 0])
+    q = nl * nr / n * energy
+    return bs, q.reshape(perms.shape[:-1] + bs.shape), total
 
 
 def best_split(values: np.ndarray, cfg: EdivConfig) -> tuple[int, float] | None:
@@ -144,12 +199,12 @@ def permutation_test(values: np.ndarray, b: int, cfg: EdivConfig,
         raise ValueError(f"split {b} violates min_size {cfg.min_size}")
     q_tie = float(q[where[0]]) - v.size * _EPS * total
     hits = 0
-    for r in range(cfg.num_permutations):
-        rng = np.random.default_rng([cfg.seed, seed_key, r])
-        perm = rng.permutation(v)
-        _, q_perm, _ = _split_divergences(perm, cfg.alpha, cfg.min_size)
-        if float(q_perm.max()) >= q_tie:
-            hits += 1
+    step = max(1, _BATCH_CELLS // v.size)
+    for first in range(0, cfg.num_permutations, step):
+        perms = np.array([np.random.default_rng([cfg.seed, seed_key, r]).permutation(v.size)
+                          for r in range(first, min(first + step, cfg.num_permutations))])
+        _, q_perm, _ = _split_divergences(v, cfg.alpha, cfg.min_size, perms)
+        hits += int(np.count_nonzero(q_perm.max(axis=1) >= q_tie))
     return (1 + hits) / (cfg.num_permutations + 1)
 
 

@@ -54,6 +54,8 @@ def make_step_signal(means: Sequence[float], lengths: Sequence[int],
         raise ValueError(f"unknown noise kind {noise!r}")
     if noise == "ar1" and not -1.0 < rho < 1.0:
         raise ValueError(f"ar1 noise needs |rho| < 1, got {rho}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
 
     signal = np.repeat(np.asarray(means, dtype=float), np.asarray(lengths, dtype=int))
     rng = np.random.default_rng(seed)

@@ -45,6 +45,8 @@ class WbsConfig:
             raise ValueError("min_len must be at least 2")
         if self.max_breaks is not None and self.max_breaks < 0:
             raise ValueError(f"max_breaks must be nonnegative, got {self.max_breaks}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def mad_scale(values: np.ndarray) -> float:

@@ -271,7 +271,9 @@ class TestCmdCompare:
          "--min-seg 1 resolves to 1 observations; method wbs needs at least 2"),
         (["--methods", "dp,edivisive", "--alpha", "2", "--permutations", "0"], 1,
          "num_permutations must be positive"),
-    ], ids=["wbs-min-seg", "edivisive-permutations"])
+        (["--methods", "dp,edivisive", "--seed", "-1"], 1, "seed must be nonnegative, got -1"),
+        (["--methods", "dp,wbs", "--seed", "-1"], 1, "seed must be nonnegative, got -1"),
+    ], ids=["wbs-min-seg", "edivisive-permutations", "edivisive-seed", "wbs-seed"])
     def test_every_config_checked_before_any_method_runs(self, capsys, monkeypatch,
                                                          argv, code, message):
         def spy(*args, **kwargs):
@@ -358,6 +360,11 @@ class TestCmdSynth:
         assert main(["synth", "--means", "0,5", "--lengths", "20"]) == 2
         assert main(["synth", "--means", "0", "--lengths", "-4"]) == 2
 
+    def test_negative_seed_exits_2_naming_it(self, capsys):
+        assert main(["synth", "--means", "0,5", "--lengths", "30,30", "--seed", "-3"]) == 2
+        assert capsys.readouterr().err == (
+            "stepscan: invalid signal spec: seed must be nonnegative, got -3\n")
+
     @pytest.mark.parametrize("lengths", ["3000000", "1000000000000", "2921940,1"])
     def test_length_past_the_calendar_exits_2_with_one_line(self, capsys, lengths):
         # daily dates past 9999-12-31 used to end in an OverflowError traceback,
@@ -393,7 +400,8 @@ class TestCmdSynth:
         assert err.startswith("stepscan: invalid signal spec: ") and name in err, err
 
 
-_FUZZ_VALUES = ["0", "-1", "1", "3", "15", "0%", "10%", "nan%", "abc", "0.5", "nan"]
+_FUZZ_VALUES = ["0", "-1", "1", "3", "15", "0%", "10%", "nan%", "abc", "0.5", "nan", "-3",
+                "-9223372036854775809"]
 _DATING_FLAGS = ["--max-breaks", "--level", "--alpha", "--threshold-c", "--seed"]
 _FUZZ_FLAGS = {
     "test": ["--level", "--variance", "--lrv-bandwidth", "--mosum-bandwidth", "--critical"],

@@ -242,6 +242,7 @@ class TestEDivisive:
         ({"min_size": 1}, "min_size must be at least 2"),
         ({"sig_level": 0.0}, "sig_level must be in"),
         ({"sig_level": 1.0}, "sig_level must be in"),
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
     ])
     def test_config_domain(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -314,8 +315,117 @@ class TestTieRule:
         assert permutation_test(v, b, cfg) == (1 + hits) / (cfg.num_permutations + 1)
 
 
+def reference_best_split(values, cfg):
+    """best_split on the prefix matrix."""
+    out = prefix_matrix_split_divergences(values, cfg.alpha, cfg.min_size)
+    if out is None:
+        return None
+    bs, q, _ = out
+    k = int(np.argmax(q))
+    return int(bs[k]), float(q[k])
+
+
+def reference_permutation_test(values, b, cfg, seed_key=0):
+    """permutation_test one replicate at a time on the prefix matrix, same tie rule."""
+    v = np.asarray(values, dtype=float)
+    bs, q, total = prefix_matrix_split_divergences(v, cfg.alpha, cfg.min_size)
+    q_tie = float(q[bs == b][0]) - v.size * EPS * total
+    hits = 0
+    for r in range(cfg.num_permutations):
+        perm = np.random.default_rng([cfg.seed, seed_key, r]).permutation(v)
+        _, q_perm, _ = prefix_matrix_split_divergences(perm, cfg.alpha, cfg.min_size)
+        hits += float(q_perm.max()) >= q_tie
+    return (1 + hits) / (cfg.num_permutations + 1)
+
+
+# position blocks that cut short series at many places, and the production one
+POSITION_BLOCKS = st.sampled_from([1, 3, 7, stepscan.edivisive._BLOCK_POS])
+
+
+def random_perms(data, n):
+    """The identity and a few seeded permutations of range(n), one per row."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    extra = data.draw(st.integers(0, 3))
+    return np.array([np.arange(n)] + [rng.permutation(n) for _ in range(extra)])
+
+
+class TestRankKernel:
+    """The alpha = 1 rank-space row sums, several permutations per call."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_within_rounding_of_the_prefix_matrix(self, data):
+        n = data.draw(st.integers(4, 90))
+        v = data.draw(st.one_of(awkward_values(n), bumpy_values(n)))
+        min_size = data.draw(st.integers(2, max(2, n // 3)))
+        perms = random_perms(data, n)
+        with mock.patch.object(stepscan.edivisive, "_BLOCK_POS", data.draw(POSITION_BLOCKS)):
+            bs, q, total = _split_divergences(v, 1.0, min_size, perms)
+        assert q.shape == (len(perms), bs.size)
+        for perm, q_row in zip(perms, q):
+            want_bs, want_q, want_total = prefix_matrix_split_divergences(v[perm], 1.0, min_size)
+            np.testing.assert_array_equal(bs, want_bs)
+            assert abs(total - want_total) <= n * EPS * want_total
+            assert np.all(np.abs(q_row - want_q) <= n * EPS * want_total)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equal_on_small_integers(self, data):
+        # every partial sum is an exact integer, so summation order is moot
+        n = data.draw(st.integers(4, 90))
+        v = np.array(data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)), float)
+        min_size = data.draw(st.integers(2, max(2, n // 3)))
+        perms = random_perms(data, n)
+        with mock.patch.object(stepscan.edivisive, "_BLOCK_POS", data.draw(POSITION_BLOCKS)):
+            _, q, total = _split_divergences(v, 1.0, min_size, perms)
+        for perm, q_row in zip(perms, q):
+            _, want_q, want_total = prefix_matrix_split_divergences(v[perm], 1.0, min_size)
+            assert total == want_total
+            assert q_row.tolist() == want_q.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_alpha_two_rows_equal_one_row_at_a_time(self, data):
+        n = data.draw(st.integers(4, 90))
+        v = data.draw(awkward_values(n))
+        min_size = data.draw(st.integers(2, max(2, n // 3)))
+        perms = random_perms(data, n)
+        _, q, _ = _split_divergences(v, 2.0, min_size, perms)
+        for perm, q_row in zip(perms, q):
+            assert q_row.tolist() == _split_divergences(v[perm], 2.0, min_size)[1].tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_ragged_batches_give_the_reference_p_value(self, data):
+        n = data.draw(st.integers(8, 60))
+        v = data.draw(st.one_of(awkward_values(n), bumpy_values(n)))
+        cfg = ss.EdivConfig(min_size=data.draw(st.integers(2, n // 4)),
+                            alpha=data.draw(st.sampled_from([0.5, 1.0])),
+                            num_permutations=23, seed=data.draw(st.integers(0, 3)))
+        b, _ = best_split(v, cfg)
+        rows = data.draw(st.sampled_from([2, 3, 5, 7]))  # none divides 23
+        with mock.patch.object(stepscan.edivisive, "_BATCH_CELLS", rows * n):
+            got = permutation_test(v, b, cfg, seed_key=5)
+        assert got == reference_permutation_test(v, b, cfg, seed_key=5)
+
+    def test_peak_memory_does_not_grow_with_the_permutation_count(self):
+        # four replicates per batch at n = 4000: 6 and 18 make 2 and 5 batches;
+        # one batch of all 18 would peak near 6 MB, one of 60 near 19 MB
+        v = np.random.default_rng(3).normal(size=4000)
+        peaks = []
+        for r in (6, 18):
+            tracemalloc.start()
+            try:
+                permutation_test(v, 2000, ss.EdivConfig(num_permutations=r))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 16 << 20
+        assert peaks[1] < 1.25 * peaks[0]
+
+
 class TestAgainstPrefixMatrix:
-    """Outputs equal those of the old kernel under the same tie rule."""
+    """Outputs equal those of the old kernel, one replicate at a time, under the same tie rule."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -326,12 +436,10 @@ class TestAgainstPrefixMatrix:
                             alpha=data.draw(st.sampled_from([0.5, 1.0, 1.5])),
                             num_permutations=49, seed=data.draw(st.integers(0, 3)))
         b, _ = best_split(v, cfg)
-        with mock.patch.object(stepscan.edivisive, "_BLOCK_ROWS", data.draw(BLOCKS)):
+        with mock.patch.object(stepscan.edivisive, "_BLOCK_ROWS", data.draw(BLOCKS)), \
+                mock.patch.object(stepscan.edivisive, "_BLOCK_POS", data.draw(POSITION_BLOCKS)):
             got = permutation_test(v, b, cfg)
-        with mock.patch.object(stepscan.edivisive, "_split_divergences",
-                               prefix_matrix_split_divergences):
-            want = permutation_test(v, b, cfg)
-        assert got == want
+        assert got == reference_permutation_test(v, b, cfg)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -348,10 +456,12 @@ class TestAgainstPrefixMatrix:
         cfg = ss.EdivConfig(min_size=data.draw(st.integers(2, n // 4)), alpha=alpha,
                             num_permutations=19, seed=data.draw(st.integers(0, 3)),
                             sig_level=0.1)
-        with mock.patch.object(stepscan.edivisive, "_BLOCK_ROWS", data.draw(BLOCKS)):
+        with mock.patch.object(stepscan.edivisive, "_BLOCK_ROWS", data.draw(BLOCKS)), \
+                mock.patch.object(stepscan.edivisive, "_BLOCK_POS", data.draw(POSITION_BLOCKS)):
             got = ss.e_divisive(series, cfg)
-        with mock.patch.object(stepscan.edivisive, "_split_divergences",
-                               prefix_matrix_split_divergences):
+        with mock.patch.object(stepscan.edivisive, "best_split", reference_best_split), \
+                mock.patch.object(stepscan.edivisive, "permutation_test",
+                                  reference_permutation_test):
             want = ss.e_divisive(series, cfg)
         assert got.breaks == want.breaks
         assert got.criterion_trace == want.criterion_trace

@@ -62,3 +62,8 @@ def test_lengths_past_the_calendar_are_rejected_before_any_array(lengths):
     # 10**12 observations would ask numpy for 7.28 TiB
     with pytest.raises(ValueError, match="at most 2,921,940 observations"):
         ss.make_step_signal([0.0] * len(lengths), lengths)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        ss.make_step_signal([0.0, 5.0], [10, 10], seed=-1)

@@ -355,6 +355,10 @@ class TestWbsConfig:
         with pytest.raises(ValueError, match="min_len must be at least 2"):
             ss.WbsConfig(min_len=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            ss.WbsConfig(seed=-1)
+
     def test_zero_max_breaks_keeps_no_break(self):
         sig, _ = ss.make_step_signal([0, 5], [30, 30], sigma=0.0)
         assert ss.wbs_segment(sig, ss.WbsConfig(max_breaks=0)).breaks == ()
