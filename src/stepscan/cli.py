@@ -122,10 +122,12 @@ def _parse_min_seg(spec: tuple | None, n: int, default: int, method: str) -> int
 
 
 def _load(args) -> tuple[TimeSeries, dict]:
-    """Read the input and apply its transforms in flag order.
+    """Check --seed, read the input and apply its transforms in flag order.
 
     Returns the series and the report's input block.
     """
+    if args.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {args.seed}")
     series = read_csv(args.input)
     applied: list[list] = []
     for tag, *arg in args.transforms or ():

@@ -267,20 +267,26 @@ class TestCmdCompare:
         assert pair["matches"] == []
 
     @pytest.mark.parametrize("argv,code,message", [
-        (["--methods", "dp,wbs", "--min-seg", "1"], 2,
+        (["compare", "--methods", "dp,wbs", "--min-seg", "1"], 2,
          "--min-seg 1 resolves to 1 observations; method wbs needs at least 2"),
-        (["--methods", "dp,edivisive", "--alpha", "2", "--permutations", "0"], 1,
+        (["compare", "--methods", "dp,edivisive", "--alpha", "2", "--permutations", "0"], 1,
          "num_permutations must be positive"),
-        (["--methods", "dp,edivisive", "--seed", "-1"], 1, "seed must be nonnegative, got -1"),
-        (["--methods", "dp,wbs", "--seed", "-1"], 1, "seed must be nonnegative, got -1"),
-    ], ids=["wbs-min-seg", "edivisive-permutations", "edivisive-seed", "wbs-seed"])
+        (["compare", "--methods", "dp,edivisive", "--seed", "-1"], 1,
+         "seed must be nonnegative, got -1"),
+        (["compare", "--methods", "dp,wbs", "--seed", "-1"], 1,
+         "seed must be nonnegative, got -1"),
+        (["test", "--seed", "-1"], 1, "seed must be nonnegative, got -1"),
+        (["segment", "--method", "dp", "--seed", "-1"], 1, "seed must be nonnegative, got -1"),
+    ], ids=["wbs-min-seg", "edivisive-permutations", "edivisive-seed", "wbs-seed",
+            "test-seed", "dp-seed"])
     def test_every_config_checked_before_any_method_runs(self, capsys, monkeypatch,
                                                          argv, code, message):
         def spy(*args, **kwargs):
-            pytest.fail("the dynamic program ran before every config was checked")
+            pytest.fail("a method ran before every config was checked")
 
         monkeypatch.setattr(stepscan.cli, "select_breaks_bic", spy)
-        assert main(["compare"] + argv + [NILE]) == code
+        monkeypatch.setattr(stepscan.cli, "sup_abs_test", spy)
+        assert main(argv + [NILE]) == code
         assert capsys.readouterr().err == f"stepscan: {message}\n"
 
     def test_infeasible_dp_max_breaks_checked_before_any_method_runs(self, capsys,

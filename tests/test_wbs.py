@@ -82,10 +82,11 @@ def all_pairs_wbs_segment(series, cfg):
     )
 
 
-# block sizes that cut intervals at many places, and the production one;
-# the recursion test enumerates up to ~40k pairs, too many for size 1
-BLOCKS = st.sampled_from([1, 5, 64, stepscan.wbs._BLOCK_PAIRS])
-COARSER_BLOCKS = st.sampled_from([7, 64, stepscan.wbs._BLOCK_PAIRS])
+# block sizes (cells) that put one row in a block and cut rows into column
+# chunks, and the production one; the recursion test enumerates up to
+# ~40k pairs, too many for size 1
+BLOCKS = st.sampled_from([1, 5, 64, stepscan.wbs._BLOCK_CELLS])
+COARSER_BLOCKS = st.sampled_from([7, 64, stepscan.wbs._BLOCK_CELLS])
 
 
 def span_cusum(cum, s, e):
@@ -132,7 +133,7 @@ class TestIntervalCusum:
         cum = np.concatenate(([0.0], np.cumsum(v)))
         span = [np.array([x]) for x in (s, e, s, e - 1)]
         want = all_pairs_scan(cum, *span)[:2]
-        with mock.patch.object(stepscan.wbs, "_BLOCK_PAIRS", data.draw(BLOCKS)):
+        with mock.patch.object(stepscan.wbs, "_BLOCK_CELLS", data.draw(BLOCKS)):
             assert span_cusum(cum, s, e) == want
 
 
@@ -149,11 +150,17 @@ class TestBestPerInterval:
             lo, hi = sorted(data.draw(st.lists(st.integers(s, e - 1), min_size=2, max_size=2)))
             rows.append((s, e, lo, hi))
         cols = [np.array(c) for c in zip(*rows)]
-        with mock.patch.object(stepscan.wbs, "_BLOCK_PAIRS", data.draw(BLOCKS)):
+        # every row twice, shuffled: equal widths in any input order
+        perm = np.array(data.draw(st.permutations(range(2 * len(rows)))))
+        shuffled = [np.tile(c, 2)[perm] for c in cols]
+        with mock.patch.object(stepscan.wbs, "_BLOCK_CELLS", data.draw(BLOCKS)):
             best_b, best_stat = _best_per_interval(cum, *cols)
+            shuffled_b, shuffled_stat = _best_per_interval(cum, *shuffled)
         for i in range(len(rows)):
             b, stat, _ = all_pairs_scan(cum, *(c[i : i + 1] for c in cols))
             assert (best_b[i], best_stat[i]) == (b, stat)
+        assert np.array_equal(shuffled_b, np.tile(best_b, 2)[perm])
+        assert np.array_equal(shuffled_stat, np.tile(best_stat, 2)[perm])
 
 
 class TestIntervalSampling:
@@ -290,7 +297,7 @@ class TestWbsSegment:
             seed=data.draw(st.integers(0, 3)),
             min_len=data.draw(st.integers(2, n // 3)),
         )
-        with mock.patch.object(stepscan.wbs, "_BLOCK_PAIRS", data.draw(COARSER_BLOCKS)):
+        with mock.patch.object(stepscan.wbs, "_BLOCK_CELLS", data.draw(COARSER_BLOCKS)):
             got = ss.wbs_segment(series, cfg)
         want = all_pairs_wbs_segment(series, cfg)
         assert got.breaks == want.breaks
@@ -328,7 +335,7 @@ class TestWbsSegment:
 
     def test_peak_memory_does_not_grow_with_pairs(self):
         # about 4 million (interval, split) pairs; the all-pairs scan
-        # needed about 300 MB here
+        # needed about 300 MB here; cache-sized blocks keep it near 2 MB
         sig, _ = ss.make_step_signal([0, 2, -1, 1], [1500] * 4, sigma=1.0, seed=2)
         tracemalloc.start()
         try:
@@ -337,7 +344,7 @@ class TestWbsSegment:
         finally:
             tracemalloc.stop()
         assert seg.num_breaks == 3
-        assert peak < 32 << 20
+        assert peak < 4 << 20
 
 
 class TestWbsConfig:
