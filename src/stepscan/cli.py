@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -339,7 +340,13 @@ def cmd_synth(args) -> None:
         _write(args.truth, _csv(["break_index", "break_date"], rows))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The stepscan parser, built on first use and shared by later calls.
+
+    Parsing leaves it unchanged: every parse_args call fills a fresh
+    Namespace, which also holds the --log/--deflate/... chain.
+    """
     parser = argparse.ArgumentParser(
         prog="stepscan",
         description="Level-shift tests and dating for univariate time series.")

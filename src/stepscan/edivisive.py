@@ -23,6 +23,15 @@ _BLOCK_POS = 24
 # Values held by one batch of permutation replicates (rows * n).
 _BATCH_CELLS = 1 << 14
 
+# NumPy's SeedSequence hash and PCG64 seeding constants (bit_generator.pyx,
+# pcg64.h); the replicate streams test pins them to default_rng.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
 __all__ = [
     "EdivConfig",
     "best_split",
@@ -175,6 +184,89 @@ def best_split(values: np.ndarray, cfg: EdivConfig) -> tuple[int, float] | None:
     return int(bs[k]), float(q[k])
 
 
+def _words(x: int) -> list[int]:
+    """x as little-endian uint32 words; [0] for zero (SeedSequence's coercion)."""
+    out = [x & _MASK32]
+    while x := x >> 32:
+        out.append(x & _MASK32)
+    return out
+
+
+def _hasher(hc: int, mult: int):
+    """SeedSequence's hashmix: xor a word with a running constant, multiply, fold."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hc
+        value = value ^ hc
+        hc = hc * mult & _MASK32
+        value *= hc
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) seeded by SeedSequence(row) for each row of uint32 entropy words.
+
+    SeedSequence's pool of four words is mixed column by column over all
+    rows at once; the uint32 arrays wrap without warning, as its C code does.
+    """
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = x * _MIX_L - y * _MIX_R
+        return out ^ (out >> 16)
+
+    rows, width = entropy.shape
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[:, i] if i < width else np.zeros(rows, np.uint32))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, width):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    draw = _hasher(_INIT_B, _MULT_B)  # generate_state(4, np.uint64), as eight uint32 words
+    words = [draw(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    seeds = np.stack([words[j] | words[j + 1] << 32 for j in range(0, 8, 2)], axis=1)
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in seeds.tolist():  # pcg64_set_seed: two LCG steps from 0
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _permutations(gen: np.random.Generator, n: int, seed: int, key: int,
+                  first: int, stop: int) -> np.ndarray:
+    """Rows default_rng([seed, key, r]).permutation(n) for r in range(first, stop).
+
+    The seeds of all rows are hashed in one pass, grouped by the word
+    count of r; each row then sets the state of gen's PCG64 and shuffles
+    an arange, as Generator.permutation does.
+    """
+    head = _words(seed) + _words(key)
+    states = []
+    lo = first
+    while lo < stop:
+        width = len(_words(lo))
+        hi = min(stop, 1 << 32 * width)
+        r = np.arange(lo, hi, dtype=np.uint64)
+        entropy = np.empty((r.size, len(head) + width), np.uint32)
+        entropy[:, : len(head)] = head
+        for j in range(width):
+            entropy[:, len(head) + j] = r >> 32 * j & _MASK32
+        states += _pcg64_states(entropy)
+        lo = hi
+    perms = np.tile(np.arange(n), (stop - first, 1))
+    for row, (state, inc) in zip(perms, states):
+        gen.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        gen.shuffle(row)
+    return perms
+
+
 def permutation_test(values: np.ndarray, b: int, cfg: EdivConfig,
                      seed_key: int = 0) -> float:
     """Add-one permutation p-value for the split of values at b.
@@ -200,9 +292,10 @@ def permutation_test(values: np.ndarray, b: int, cfg: EdivConfig,
     q_tie = float(q[where[0]]) - v.size * _EPS * total
     hits = 0
     step = max(1, _BATCH_CELLS // v.size)
+    gen = np.random.Generator(np.random.PCG64(0))  # reseeded per replicate
     for first in range(0, cfg.num_permutations, step):
-        perms = np.array([np.random.default_rng([cfg.seed, seed_key, r]).permutation(v.size)
-                          for r in range(first, min(first + step, cfg.num_permutations))])
+        perms = _permutations(gen, v.size, cfg.seed, seed_key, first,
+                              min(first + step, cfg.num_permutations))
         _, q_perm, _ = _split_divergences(v, cfg.alpha, cfg.min_size, perms)
         hits += int(np.count_nonzero(q_perm.max(axis=1) >= q_tie))
     return (1 + hits) / (cfg.num_permutations + 1)

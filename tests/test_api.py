@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+import subprocess
 import sys
 import warnings
 
@@ -66,6 +67,14 @@ def test_library_imports_only_the_standard_library_and_numpy():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names | {"numpy"}]
     assert foreign == []
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """Importing the CLI builds no generator: numpy.random loads on first draw only."""
+    code = "import sys, stepscan.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=str(REPO), check=True)
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

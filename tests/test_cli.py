@@ -635,3 +635,62 @@ class TestGoldenBytes:
         capsys.readouterr()
         assert main(_SYNTH) == 0
         assert _sha256(capsys.readouterr().out.encode()) == _GOLDEN_SYNTH[0]
+
+
+# Calls made in one process, in order; each pair of neighbours shares options
+# that must not leak from one call into the next.
+_SEQUENCES = {
+    "oil-chain-then-plain-nile": [
+        ["segment", "--method", "dp", "--min-seg", "10", "--max-breaks", "5", *_OIL_CHAIN],
+        ["segment", "--method", "dp", "fixtures/nile.csv"],
+    ],
+    "usage-error-then-good-call": [
+        ["segment", "--method", "dp", "--log", "--max-breaks", "two", "fixtures/nile.csv"],
+        ["segment", "--method", "dp", "--log", "fixtures/nile.csv"],
+    ],
+    "compare-then-segment": [
+        ["compare", "--methods", "dp,wbs", "--min-seg", "15", "--seed", "4", "--log",
+         "fixtures/nile.csv"],
+        ["segment", "--method", "wbs", "fixtures/nile.csv"],
+    ],
+}
+
+
+class TestParserReuse:
+    """main() builds the parser once per process; no call sees another call's options."""
+
+    @staticmethod
+    def _call(argv, out, capsys):
+        """(exit code, report bytes or None, stderr) of main(argv --out out)."""
+        out.unlink(missing_ok=True)
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        err = err.split("stepscan: completed in")[0]  # drop the wall-clock line
+        return code, (out.read_bytes() if out.exists() else None), err
+
+    @pytest.mark.parametrize("name", sorted(_SEQUENCES))
+    def test_each_call_equals_the_call_alone(self, monkeypatch, tmp_path, capsys, name):
+        monkeypatch.chdir(REPO)
+        out = tmp_path / "report.json"
+        alone = []
+        for argv in _SEQUENCES[name]:
+            stepscan.cli.build_parser.cache_clear()
+            alone.append(self._call(argv, out, capsys))
+        stepscan.cli.build_parser.cache_clear()
+        together = [self._call(argv, out, capsys) for argv in _SEQUENCES[name]]
+        assert stepscan.cli.build_parser.cache_info().misses == 1
+        assert together == alone
+        assert [code for code, _, _ in together] in ([0, 0], [2, 0])
+
+    def test_plain_run_after_a_transform_chain_has_none(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(REPO)
+        first, second = _SEQUENCES["oil-chain-then-plain-nile"]
+        out = tmp_path / "report.json"
+        self._call(first, out, capsys)
+        assert [t[0] for t in json.loads(out.read_text())["input"]["transforms"]] == [
+            "quarterly", "deflate", "log"]
+        self._call(second, out, capsys)
+        assert json.loads(out.read_text())["input"]["transforms"] == []

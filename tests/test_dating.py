@@ -120,12 +120,21 @@ class TestOptimalBreaks:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_rss_monotone_in_m(self, data):
+        # with min_len 1 any segment of an optimum can take one more break
         n = data.draw(st.integers(12, 30))
         v = data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
-        tri = ss.build_rss_triangle(annual(v), 2)
-        max_m = n // 2 - 1
-        rss = [ss.optimal_breaks(tri, m).rss_total for m in range(min(max_m, 4) + 1)]
+        tri = ss.build_rss_triangle(annual(v), 1)
+        rss = [ss.optimal_breaks(tri, m).rss_total for m in range(5)]
         assert all(a >= b - 1e-12 for a, b in zip(rss, rss[1:]))
+
+    def test_one_more_break_can_raise_rss_when_no_segment_splits(self):
+        # every segment of the 3-break optimum has length 3 < 2 * min_len
+        v = np.array([0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1], dtype=float)
+        tri = ss.build_rss_triangle(annual(v), 2)
+        three, four = ss.optimal_breaks(tri, 3), ss.optimal_breaks(tri, 4)
+        assert (three.breaks, four.breaks) == ((3, 6, 9), (2, 4, 6, 9))
+        assert three.rss_total == pytest.approx(4 / 3)
+        assert four.rss_total == pytest.approx(5 / 3)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(-40, 40), min_size=12, max_size=28),

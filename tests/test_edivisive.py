@@ -15,7 +15,7 @@ from conftest import awkward_values
 
 import stepscan as ss
 import stepscan.edivisive
-from stepscan.edivisive import _split_divergences, best_split, permutation_test
+from stepscan.edivisive import _permutations, _split_divergences, best_split, permutation_test
 
 EPS = np.finfo(float).eps
 
@@ -191,6 +191,29 @@ class TestPermutationTest:
             ps.append(permutation_test(v, b, cfg, seed_key=rep))
         ks = scipy.stats.kstest(ps, "uniform").statistic
         assert ks < 0.1
+
+
+class TestReplicateStreams:
+    """Replicate r of test k is default_rng([seed, k, r]).permutation(n), bit for bit.
+
+    The batched seeding restates NumPy's SeedSequence and PCG64 seeding;
+    this fails if NumPy ever changes either.
+    """
+
+    @pytest.mark.parametrize("n", [2, 31, 60, 400])
+    def test_rows_equal_default_rng_permutations(self, n):
+        step = max(1, stepscan.edivisive._BATCH_CELLS // n)  # rows per permutation_test batch
+        ranges = [(0, 3), (step - 2, step), (step, step + 2),  # both sides of a batch edge
+                  (2**32 - 2, 2**32 + 2)]  # r gains a second uint32 word inside the range
+        gen = np.random.Generator(np.random.PCG64(0))
+        for seed in [0, 1, 2**32 - 1, 2**32, 123456789012, 2**40 + 5, 2**64 + 3]:
+            for key in [0, 7, 2**33]:
+                for first, stop in ranges:
+                    want = np.array([np.random.default_rng([seed, key, r]).permutation(n)
+                                     for r in range(first, stop)])
+                    got = _permutations(gen, n, seed, key, first, stop)
+                    assert got.dtype == want.dtype
+                    assert got.tolist() == want.tolist(), (seed, key, first)
 
 
 class TestEDivisive:
