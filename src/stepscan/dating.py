@@ -7,12 +7,13 @@ segments of at least min_len observations is found by a Bellman
 recursion over per-segment RSS values; the number of breaks is chosen
 by the Bayesian Information Criterion.
 
-The recursion runs layer by layer over blocks of _BLOCK_STARTS start
-points and evaluates only the split candidates that can still win: a
-candidate is dropped once, as a function of the segment mean, another
-candidate is below it everywhere by more than a rounding margin
-(functional pruning, as in pDPA and FPOP). The cost table stays
-bit-identical to evaluating every split.
+The recursion sweeps the start points right to left in blocks of
+_BLOCK_STARTS, stepping every layer through a block before the next,
+and evaluates only the split candidates that can still win: a candidate
+is dropped once, as a function of the segment mean, another candidate
+is below it everywhere by more than a rounding margin (functional
+pruning, as in pDPA and FPOP). The cost table stays bit-identical to
+evaluating every split.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ __all__ = [
 class RssTriangle:
     """A series and the minimal segment length of the partitions searched.
 
-    rss(i, j) = sum_{k=i..j} y_k^2 - (sum y_k)^2 / (j - i + 1), clamped
-    at zero against rounding, is O(1) from the series cumulants, so
-    memory stays O(n).
+    rss(i, j) = sum_{k=i..j} y_k^2 - (sum y_k)^2 / (j - i + 1) is O(1)
+    from the series cumulants (series._span_rss, which snaps values at
+    the cumulants' rounding scale to 0), so memory stays O(n).
     """
 
     series: TimeSeries
@@ -95,14 +96,19 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     so D is bit-identical to it (tests/test_dating.py keeps the dense
     loop as the reference).
 
-    Order. Layer by layer; within a layer the starts sweep right to left
-    in blocks of _BLOCK_STARTS. A block first evaluates its own new
-    candidates c = a + h and the previous block's best candidate at every
-    start; the largest of the resulting per-start minima, U, bounds every
-    cell of the block from above. Then it evaluates the live candidates
-    with D[j - 1, c] < U: span RSS values are >= 0, so any other one
-    costs at least U there. The live set is then pruned for the blocks
-    to come.
+    Order. The starts sweep right to left in blocks of _BLOCK_STARTS,
+    laid down from layer 2's last start n - 2h + 1. A block's new
+    candidates c = a + h, their span RSS at every start and their pair
+    means are built once (_Block); then the layers step through it in
+    ascending j, as layer j reads D[j - 1] inside the block when
+    h < _BLOCK_STARTS. The block holding layer j's last start n - jh + 1
+    is its first, and it uses the block's head up to that start. Each
+    layer evaluates the new candidates and the previous block's best
+    candidate at every start; the largest of the resulting per-start
+    minima, U, bounds every cell of the block from above. Then it
+    evaluates the live candidates with D[j - 1, c] < U: span RSS values
+    are >= 0, so any other one costs at least U there. The live set is
+    then pruned for the blocks to come.
 
     Pruning (pDPA, Rigaill 2015). As a function of the segment mean mu,
     candidate c costs q_c(mu) = D[j-1, c] + sum_{k<c} (y_k - mu)^2. Its
@@ -137,9 +143,9 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     interval ends move out (in, for the covering test) by _WIDEN of the
     largest mean magnitude. _reconstruct still scans every split.
 
-    A layer stops pruning once, after four blocks, its live set holds
-    more than half the candidates: with a +1e6 offset the snap ties most
-    spans and nothing can be dropped.
+    A layer stops pruning once, after 4 _BLOCK_STARTS starts, its live
+    set holds more than half the candidates: with a +1e6 offset the snap
+    ties most spans and nothing can be dropped.
     """
     s, n, h = tri.series, tri.n, tri.min_len
     D = np.full((jmax + 1, n + 2), np.inf)
@@ -147,8 +153,17 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     if jmax < 2:
         return D
     plan = _Plan.build(s, h, _BLOCK_STARTS)
-    for j in range(2, jmax + 1):
-        _pruned_layer(s, h, D[j - 1], D[j], n - j * h + 1, plan)
+    layers = [_Layer() for _ in range(2, jmax + 1)]
+    a_hi = n - 2 * h + 1
+    while a_hi >= 1:
+        a_lo = max(1, a_hi - plan.block + 1)
+        blk = _Block(s, h, a_lo, a_hi, plan)
+        for j, layer in enumerate(layers, start=2):
+            k = min(blk.nb, n - j * h + 2 - a_lo)  # layer j's starts end at n - j h + 1
+            if k < 1:
+                break
+            layer.step(s, blk, k, D[j - 1], D[j], plan)
+        a_hi = a_lo - 1
     return D
 
 
@@ -200,43 +215,60 @@ def _triangle(nb: int) -> tuple:
     return ti, tk, np.flatnonzero(ti == tk)
 
 
-def _pruned_layer(s: TimeSeries, h: int, prev: np.ndarray, out: np.ndarray,
-                  a_top: int, plan: _Plan) -> None:
-    """Fill out[1..a_top] from the previous layer prev (see _suffix_costs)."""
-    cum, cumsq = s.cumulants
-    B = plan.block
-    # the live candidates, their mean intervals [lo; hi], and whether each
-    # is known never to be snapped again
-    live = np.empty(0, dtype=np.intp)
-    ends = np.empty((2, 0))
-    sure = np.empty(0, dtype=bool)
-    probe = None
-    pruning, added = True, 0
-    a_hi = a_top
-    while a_hi >= 1:
-        a_lo = max(1, a_hi - B + 1)
+class _Block:
+    """What every layer shares at the starts a_lo..a_hi of one block.
+
+    The new candidates c = a + h, their span RSS at every start they are
+    admissible for (pairs i <= k of the triangle, row by row), and, per
+    pair of new candidates c' < c (rows c'), the mean m of y[c'..c-1]
+    and m times its sum.
+    """
+
+    def __init__(self, s: TimeSeries, h: int, a_lo: int, a_hi: int, plan: _Plan):
         nb = a_hi - a_lo + 1
-        ti, tk, row_first = plan.triangle if nb == B else _triangle(nb)
-        starts = np.arange(a_lo, a_hi + 1)
-        new = starts + h
-        # new candidates at the starts they are admissible for, then the probe
-        rows, cols = starts[ti], new[tk]
-        if probe is not None:
-            rows = np.concatenate((rows, starts))
-            cols = np.concatenate((cols, np.full(nb, probe)))
-        rss = _span_rss(s, rows, cols - 1)
-        vals = rss + prev[cols]
-        best = np.minimum.reduceat(vals[: ti.size], row_first)
-        i = int(np.argmin(vals[:nb]))  # the next probe: best candidate at a_lo
+        self.a_lo, self.nb = a_lo, nb
+        ti, tk, self.row_first = plan.triangle if nb == plan.block else _triangle(nb)
+        self.starts = np.arange(a_lo, a_hi + 1)
+        self.new = self.starts + h
+        self.cols = self.new[tk]
+        self.rss = _span_rss(s, self.starts[ti], self.cols - 1)
+        cc = s.cumulants[0][self.new - 1]
+        self.sdm = cc - cc[:, None]
+        self.m = self.sdm * plan.inv_gap[:nb, :nb]
+        self.sdm *= self.m
+
+
+class _Layer:
+    """One layer's sweep state, carried from block to block."""
+
+    def __init__(self):
+        # the live candidates, their mean intervals [lo; hi], and whether each
+        # is known never to be snapped again
+        self.live = np.empty(0, dtype=np.intp)
+        self.ends = np.empty((2, 0))
+        self.sure = np.empty(0, dtype=bool)
+        self.probe = None
+        self.pruning, self.added = True, 0
+
+    def step(self, s: TimeSeries, blk: _Block, k: int, prev: np.ndarray, out: np.ndarray,
+             plan: _Plan) -> None:
+        """Fill out at the block's first k starts from the previous layer prev."""
+        cum, cumsq = s.cumulants
+        starts, new = blk.starts[:k], blk.new[:k]
+        # the new candidates (+inf past prev's last start), then the probe
+        vals = blk.rss + prev[blk.cols]
+        best = np.minimum.reduceat(vals, blk.row_first)[:k]
+        i = int(np.argmin(vals[:k]))  # the next probe: best candidate at a_lo
         nxt, at_lo = new[i], vals[i]
-        if probe is not None:
-            np.minimum(best, vals[ti.size :], out=best)
-            if vals[ti.size] < at_lo:
-                nxt, at_lo = probe, vals[ti.size]
-        row0 = rss[:nb].copy()  # span RSS at a_lo, to learn which c never snap
-        del rss, vals  # block-sized temporaries are freed once used
-        f = prev[live] < best.max()
-        old = live[f]
+        del vals  # block-sized temporaries are freed once used
+        if self.probe is not None:
+            vals = _span_rss(s, starts, self.probe - 1) + prev[self.probe]
+            np.minimum(best, vals, out=best)
+            if vals[0] < at_lo:
+                nxt, at_lo = self.probe, vals[0]
+        row0 = blk.rss[:k]  # span RSS at a_lo, to learn which c never snap
+        f = prev[self.live] < best.max()
+        old = self.live[f]
         if old.size:
             vals = _span_rss(s, starts[:, None], old - 1)
             row0 = np.concatenate((row0, vals[0]))
@@ -246,49 +278,48 @@ def _pruned_layer(s: TimeSeries, h: int, prev: np.ndarray, out: np.ndarray,
             if vals[0, i] < at_lo:
                 nxt = old[i]
             del vals
-        out[a_lo : a_hi + 1] = best
-        probe = nxt
-        added += nb
-        a_hi = a_lo - 1
-        if a_hi < 1:
-            break
-        if not pruning:
-            live = np.concatenate((new, live))
-            continue
+        out[blk.a_lo : blk.a_lo + k] = best
+        self.probe = nxt
+        self.added += k
+        if blk.a_lo == 1:
+            return
+        if not self.pruning:
+            self.live = np.concatenate((new, self.live))
+            return
 
         cand = np.concatenate((new, old))
-        sr = np.concatenate((np.zeros(nb, dtype=bool), sure[f]))
+        sr = np.concatenate((np.zeros(k, dtype=bool), self.sure[f]))
         sr |= row0 > plan.snap[cand - 1]
         dc = prev[cand]
         t = 2 * (np.where(sr, plan.settled[cand - 1], plan.snap[cand - 1]) + 8 * (_EPS / 2) * dc)
         pc = dc + cumsq[cand - 1]  # D_c + Q_c: the part of q_c's constant that varies
-        hull = np.concatenate((plan.dom[:, :nb], ends[:, f]), axis=1)
-        keep = _prune(cand, cum[cand - 1], pc + t, pc - t, hull, nb, plan)
+        hull = np.concatenate((plan.dom[:, :k], self.ends[:, f]), axis=1)
+        keep = _prune(cand, cum[cand - 1], pc + t, pc - t, hull, blk.m[:k, :k],
+                      blk.sdm[:k, :k], plan)
         rest = ~f
-        live = np.concatenate((cand[keep], live[rest]))
-        ends = np.concatenate((hull[:, keep], ends[:, rest]), axis=1)
-        sure = np.concatenate((sr[keep], sure[rest]))
-        if added >= 4 * B and 2 * live.size > added:
-            pruning = False
+        self.live = np.concatenate((cand[keep], self.live[rest]))
+        self.ends = np.concatenate((hull[:, keep], self.ends[:, rest]), axis=1)
+        self.sure = np.concatenate((sr[keep], self.sure[rest]))
+        if self.added >= 4 * plan.block and 2 * self.live.size > self.added:
+            self.pruning = False
 
 
 def _prune(cand: np.ndarray, cc: np.ndarray, up: np.ndarray, down: np.ndarray,
-           hull: np.ndarray, nb: int, plan: _Plan) -> np.ndarray:
+           hull: np.ndarray, m_n: np.ndarray, sdm_n: np.ndarray, plan: _Plan) -> np.ndarray:
     """Which candidates stay live; narrows their mean intervals in place.
 
     cand holds the block's nb new candidates, then the old ones; per
     candidate c, cc = cum[c-1], up and down = D_c + Q_c +- 2 e_c and
-    hull = [lo; hi]. For a pair c' < c with m the mean of y[c'..c-1], c
-    is within tau of c' where L (mu - m)^2 <= d + tau, d = D_c' - D_c - R,
-    and c beats c' by more than tau where L (mu - m)^2 < d - tau. Rows
-    are new candidates c', columns the later ones.
+    hull = [lo; hi]; m_n and sdm_n are the block's pair arrays of the new
+    candidates (see _Block), only read. For a pair c' < c with m the
+    mean of y[c'..c-1], c is within tau of c' where
+    L (mu - m)^2 <= d + tau, d = D_c' - D_c - R, and c beats c' by more
+    than tau where L (mu - m)^2 < d - tau. Rows are new candidates c',
+    columns the later ones.
     """
-    wid = plan.wid
+    nb, wid = m_n.shape[0], plan.wid
     inv_n = plan.inv_gap[:nb, :nb]
     later = plan.not_later[:nb, :nb]
-    sdm_n = cc[:nb] - cc[:nb, None]
-    m_n = sdm_n * inv_n
-    sdm_n *= m_n
     with np.errstate(invalid="ignore"):  # sqrt < 0: c loses everywhere, NaN drops it
         r = up[:nb, None] - down[:nb]
         r += sdm_n
@@ -302,7 +333,6 @@ def _prune(cand: np.ndarray, cc: np.ndarray, up: np.ndarray, down: np.ndarray,
         dm = down[rows, None] - up[:nb]
         dm += sdm_n[rows]
         dm -= later[rows]
-        del sdm_n
         m_n = m_n[rows]
         covered = _covers(dm, inv_n[rows], m_n, hull[:, rows], wid)
         del dm, m_n
