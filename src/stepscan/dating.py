@@ -132,10 +132,11 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
       - the arithmetic of _span_rss and of the addition: about
         16u Q_c + 2u D_c + 5u neg_c, taken as 32u Q_c + 8u D_c + 8u neg_c;
       - the snap of _span_rss to 0 below 16 eps L qsum, which lowers a
-        value by up to 32u (c-1) Q_c. Once c's span RSS at a block's
-        smallest start exceeds that plus the rounding, c is never snapped
-        again (RSS grows as a decreases), and the term is dropped;
-      - until then, a snapped E < 0 rises by |E|, at most neg_c: the
+        value by up to 32u (c-1) Q_c. A block drops the term for each c
+        whose span RSS at its smallest start exceeds that plus the
+        rounding, as RSS grows as a decreases (a later dip from rounding
+        brings the term back, which only widens the margin);
+      - while it applies, a snapped E < 0 rises by |E|, at most neg_c: the
         error of E from the cumulants' sequential sums (err_s, err_q);
       - 16 times the smallest normal float, for products that underflow
         (their rounding is absolute, not relative).
@@ -143,26 +144,29 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     interval ends move out (in, for the covering test) by _WIDEN of the
     largest mean magnitude. _reconstruct still scans every split.
 
-    A layer stops pruning once, after 4 _BLOCK_STARTS starts, its live
-    set holds more than half the candidates: with a +1e6 offset the snap
-    ties most spans and nothing can be dropped.
+    A layer stops pruning at the first block where, of its 4 _BLOCK_STARTS
+    or more starts in earlier blocks, its live set holds more than half:
+    with a +1e6 offset the snap ties most spans and nothing can be dropped.
+    It stays stopped: each later block adds k starts to the count and k
+    candidates to the live set, so twice the live set stays above it.
     """
     s, n, h = tri.series, tri.n, tri.min_len
     D = np.full((jmax + 1, n + 2), np.inf)
     D[1, 1 : n - h + 2] = _span_rss(s, np.arange(1, n - h + 2), n)
     if jmax < 2:
         return D
-    plan = _Plan.build(s, h, _BLOCK_STARTS)
+    plan = _Plan.build(s, h)
     layers = [_Layer() for _ in range(2, jmax + 1)]
     a_hi = n - 2 * h + 1
     while a_hi >= 1:
-        a_lo = max(1, a_hi - plan.block + 1)
+        a_lo = max(1, a_hi - _BLOCK_STARTS + 1)
         blk = _Block(s, h, a_lo, a_hi, plan)
         for j, layer in enumerate(layers, start=2):
-            k = min(blk.nb, n - j * h + 2 - a_lo)  # layer j's starts end at n - j h + 1
+            swept = n - j * h + 2 - a_lo  # layer j's starts a_lo..n - j h + 1
+            k = min(blk.nb, swept)
             if k < 1:
                 break
-            layer.step(s, blk, k, D[j - 1], D[j], plan)
+            layer.step(s, blk, k, swept - k, D[j - 1], D[j], plan)
         a_hi = a_lo - 1
     return D
 
@@ -171,7 +175,6 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
 class _Plan:
     """What every layer of one _suffix_costs call shares."""
 
-    block: int             # starts per block
     snap: np.ndarray       # e_c while c may still be snapped (indexed by c - 1), and
                            # the span RSS above which it never will be
     settled: np.ndarray    # e_c once c is known never to snap
@@ -182,7 +185,7 @@ class _Plan:
     triangle: tuple        # pairs (start i, candidate k >= i) of a block, row starts
 
     @staticmethod
-    def build(s: TimeSeries, h: int, block: int) -> "_Plan":
+    def build(s: TimeSeries, h: int) -> "_Plan":
         cum, cumsq = s.cumulants
         y = s.values
         u = _EPS / 2
@@ -195,17 +198,16 @@ class _Plan:
         floor = 16 * np.finfo(float).tiny  # products that underflow
         lo, hi = float(y.min()) - pad, float(y.max()) + pad
         wid = _WIDEN * max(abs(lo), abs(hi))
-        ar = np.arange(block)
+        ar = np.arange(_BLOCK_STARTS)
         gap = (ar - ar[:, None]).astype(float)
         return _Plan(
-            block=block,
             snap=u * (32 * np.arange(cum.size) + 16) * cumsq + 3 * neg + floor,
             settled=u * (32 * cumsq + 8 * neg) + floor,
-            dom=np.array([[lo - wid], [hi + wid]]) * np.ones(block),
+            dom=np.array([[lo - wid], [hi + wid]]) * np.ones(_BLOCK_STARTS),
             wid=wid,
             inv_gap=1.0 / np.maximum(gap, 1.0),
             not_later=np.where(gap > 0, 0.0, np.inf),
-            triangle=_triangle(block),
+            triangle=_triangle(_BLOCK_STARTS),
         )
 
 
@@ -227,7 +229,7 @@ class _Block:
     def __init__(self, s: TimeSeries, h: int, a_lo: int, a_hi: int, plan: _Plan):
         nb = a_hi - a_lo + 1
         self.a_lo, self.nb = a_lo, nb
-        ti, tk, self.row_first = plan.triangle if nb == plan.block else _triangle(nb)
+        ti, tk, self.row_first = plan.triangle if nb == _BLOCK_STARTS else _triangle(nb)
         self.starts = np.arange(a_lo, a_hi + 1)
         self.new = self.starts + h
         self.cols = self.new[tk]
@@ -239,20 +241,18 @@ class _Block:
 
 
 class _Layer:
-    """One layer's sweep state, carried from block to block."""
+    """One layer's sweep state, carried from block to block: the live
+    candidates, their mean intervals [lo; hi], and the probe (the best
+    candidate at the last block's smallest start)."""
 
     def __init__(self):
-        # the live candidates, their mean intervals [lo; hi], and whether each
-        # is known never to be snapped again
         self.live = np.empty(0, dtype=np.intp)
         self.ends = np.empty((2, 0))
-        self.sure = np.empty(0, dtype=bool)
         self.probe = None
-        self.pruning, self.added = True, 0
 
-    def step(self, s: TimeSeries, blk: _Block, k: int, prev: np.ndarray, out: np.ndarray,
-             plan: _Plan) -> None:
-        """Fill out at the block's first k starts from the previous layer prev."""
+    def step(self, s: TimeSeries, blk: _Block, k: int, before: int, prev: np.ndarray,
+             out: np.ndarray, plan: _Plan) -> None:
+        """Fill out at the block's first k starts from prev, with before starts in earlier blocks."""
         cum, cumsq = s.cumulants
         starts, new = blk.starts[:k], blk.new[:k]
         # the new candidates (+inf past prev's last start), then the probe
@@ -280,18 +280,16 @@ class _Layer:
             del vals
         out[blk.a_lo : blk.a_lo + k] = best
         self.probe = nxt
-        self.added += k
         if blk.a_lo == 1:
             return
-        if not self.pruning:
+        if before >= 4 * _BLOCK_STARTS and 2 * self.live.size > before:
             self.live = np.concatenate((new, self.live))
             return
 
         cand = np.concatenate((new, old))
-        sr = np.concatenate((np.zeros(k, dtype=bool), self.sure[f]))
-        sr |= row0 > plan.snap[cand - 1]
+        e = plan.snap[cand - 1]
         dc = prev[cand]
-        t = 2 * (np.where(sr, plan.settled[cand - 1], plan.snap[cand - 1]) + 8 * (_EPS / 2) * dc)
+        t = 2 * (np.where(row0 > e, plan.settled[cand - 1], e) + 8 * (_EPS / 2) * dc)
         pc = dc + cumsq[cand - 1]  # D_c + Q_c: the part of q_c's constant that varies
         hull = np.concatenate((plan.dom[:, :k], self.ends[:, f]), axis=1)
         keep = _prune(cand, cum[cand - 1], pc + t, pc - t, hull, blk.m[:k, :k],
@@ -299,9 +297,6 @@ class _Layer:
         rest = ~f
         self.live = np.concatenate((cand[keep], self.live[rest]))
         self.ends = np.concatenate((hull[:, keep], self.ends[:, rest]), axis=1)
-        self.sure = np.concatenate((sr[keep], self.sure[rest]))
-        if self.added >= 4 * plan.block and 2 * self.live.size > self.added:
-            self.pruning = False
 
 
 def _prune(cand: np.ndarray, cc: np.ndarray, up: np.ndarray, down: np.ndarray,

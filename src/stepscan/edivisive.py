@@ -322,15 +322,14 @@ def e_divisive(s: TimeSeries, cfg: EdivConfig = EdivConfig()) -> Segmentation:
         b_rel, q = res
         return q, lo, hi, lo - 1 + b_rel
 
-    candidates = [c for c in [candidate(1, s.n)] if c is not None]
+    candidates = [candidate(1, s.n)]  # n >= 2 min_size: the full span splits
     accepted: list[tuple[int, float]] = []
-    tested = 0
     while candidates:
         if cfg.max_breaks is not None and len(accepted) >= cfg.max_breaks:
             break
         q, lo, hi, b = max(candidates, key=lambda c: (c[0], -c[1]))
-        p = permutation_test(v[lo - 1 : hi], b - lo + 1, cfg, seed_key=tested)
-        tested += 1
+        # every earlier test was accepted, so this is test number len(accepted)
+        p = permutation_test(v[lo - 1 : hi], b - lo + 1, cfg, seed_key=len(accepted))
         if p > cfg.sig_level:
             break
         accepted.append((b, p))

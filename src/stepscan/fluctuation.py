@@ -151,11 +151,9 @@ def long_run_variance(s: TimeSeries, bandwidth: int | str = "auto") -> VarianceE
     for j in range(1, lag + 1):
         gamma_j = float(x[:-j] @ x[j:] / n)
         total += 2.0 * (1.0 - j / (lag + 1.0)) * gamma_j
-    clamped = False
-    if total <= 0.0:
-        total, clamped = gamma0, True
-    elif total < 1e-12 * gamma0:
-        total, clamped = 1e-12 * gamma0, True
+    clamped = total <= 1e-12 * gamma0
+    if clamped:
+        total = 1e-12 * gamma0
     return VarianceEstimate(value=total, kind="long_run", kernel="bartlett",
                             bandwidth=lag, clamped=clamped)
 

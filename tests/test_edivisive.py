@@ -249,6 +249,20 @@ class TestEDivisive:
         seg = ss.e_divisive(sig, ss.EdivConfig(min_size=5, alpha=2.0, max_breaks=2))
         assert seg.num_breaks == 2
 
+    def test_kth_test_of_a_run_uses_seed_key_k(self):
+        # the README's rule: the k-th test draws from default_rng([seed, k, r])
+        sig, breaks = ss.make_step_signal([0, 3, 0, 3], [15, 15, 15, 15], sigma=0.0)
+        keys = []
+
+        def recording(values, b, cfg, seed_key=0):
+            keys.append(seed_key)
+            return permutation_test(values, b, cfg, seed_key=seed_key)
+
+        with mock.patch.object(stepscan.edivisive, "permutation_test", recording):
+            seg = ss.e_divisive(sig, ss.EdivConfig(min_size=5, alpha=2.0))
+        assert seg.breaks == breaks
+        assert keys == [0, 1, 2, 3]  # three accepted, then the one that stops the run
+
     def test_min_size_respected_by_all_segments(self):
         rng = np.random.default_rng(8)
         sig = ss.TimeSeries(np.concatenate([rng.normal(0, 1, 40), rng.normal(4, 1, 40)]),
