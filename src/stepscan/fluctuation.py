@@ -285,8 +285,8 @@ def sup_abs_test(process: FluctuationProcess, level: float = 0.05,
     """
     if not 0.0 < level <= 0.5:
         raise ValueError(f"level must be in (0, 0.5], got {level}")
-    if critical is not None and not math.isfinite(critical):
-        raise ValueError(f"critical must be finite, got {critical}")
+    if critical is not None and not (math.isfinite(critical) and critical > 0.0):
+        raise ValueError(f"critical must be finite and positive, got {critical}")
 
     if process.kind == "ols_cusum":
         stat = float(np.max(np.abs(process.path)))

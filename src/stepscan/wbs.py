@@ -62,15 +62,18 @@ def mad_scale(values: np.ndarray) -> float:
     return mad / (math.sqrt(2.0) * 0.6745)
 
 
-# Cells per block of the CUSUM scan, rows x width: its four work arrays
-# (128 KB each) stay in a 2 MB L2 cache whatever the series length or
-# the number of intervals.
+# Cells per block of the CUSUM scan, rows x width: its four float work
+# arrays (128 KB each) and padding mask stay in a 2 MB L2 cache whatever
+# the series length or the number of intervals.
 _BLOCK_CELLS = 1 << 14
 # Bytes per drawn interval: starts, ends and the split-range ends of the
-# full scan (24), its sorted widths, their order, best b and best
-# statistic (32) and one temporary; tracemalloc sees about 60 at 200,000
-# intervals over n = 6000, and the draw itself peaks near 56.
+# full scan (24), its widths, best b and best statistic (24) and one
+# temporary; tracemalloc sees about 60 at 200,000 intervals over
+# n = 6000, the width sort peaks near 40 and the draw itself near 56.
 _INTERVAL_BYTES = 72
+# Ufunc buffer during the scan (numpy's default is 8192 elements): numpy
+# reads a per-row column in place only when a row is at least this long.
+_UFUNC_BUFFER = 1024
 
 
 def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -81,56 +84,67 @@ def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     [starts[i]..ends[i]], the candidate splits b run over
     [los[i]..his[i]] (nonempty); b is the last index of the left part.
     Returns the best b (smallest on ties) and its |statistic| per
-    interval. Intervals are sorted by split-range width and scanned in
-    2-D blocks of at most _BLOCK_CELLS cells, rows x the widest row; a
-    narrower row repeats its last split in the padding, which never wins
-    the first maximum. A row wider than a block is scanned in column
-    chunks, a later chunk winning only if strictly larger.
+    interval. Runs of consecutive intervals are scanned as 2-D blocks of
+    at most _BLOCK_CELLS cells, rows x the widest row, read and written
+    as slices: correct in any order, fastest sorted by split-range
+    width. A narrower row repeats its last split in the padding, which
+    never wins the first maximum. A row wider than a block is scanned in
+    column chunks, a later chunk winning only if strictly larger.
     """
     widths = his - los + 1
-    order = np.argsort(widths, kind="stable")
-    widths = widths[order]
     best_b = np.zeros(starts.size, dtype=int)
     best_stat = np.full(starts.size, -np.inf)
     cells = min(_BLOCK_CELLS, int(widths.max(initial=0)) * widths.size)  # no block is larger
-    cols = np.arange(cells)
-    bufs = [np.empty(cells, dtype=t) for t in (int, int, float, float)]
-    i = 0
-    while i < order.size:
-        # as many rows as fit under the widest; a row wider than a block alone
-        fit = widths[i : i + max(1, _BLOCK_CELLS // int(widths[i]))]
-        j = i + max(1, int(np.searchsorted(fit * np.arange(1, fit.size + 1), _BLOCK_CELLS,
-                                           side="right")))
-        rows = order[i:j]
-        s1 = starts[rows][:, None] - 1
-        e, lo, hi = (a[rows][:, None] for a in (ends, los, his))
-        w = int(widths[j - 1])
-        for c0 in range(0, w, _BLOCK_CELLS):
-            k = min(_BLOCK_CELLS, w - c0)
-            nl, nr, x, y = (buf[: rows.size * k].reshape(rows.size, k) for buf in bufs)
-            np.add(lo + c0, cols[:k], out=nr)
-            np.minimum(nr, hi, out=nr)  # padding repeats the last split
-            np.take(cum, nr, out=y)
-            np.subtract(nr, s1, out=nl)
-            np.subtract(e, nr, out=nr)
-            # mean-difference form of the weighted CUSUM; identical to the
-            # two-term definition but exactly zero on constant stretches
-            np.subtract(y, cum[s1], out=x)
-            np.divide(x, nl, out=x)
-            np.subtract(cum[e], y, out=y)
-            np.divide(y, nr, out=y)
-            np.subtract(x, y, out=x)
-            np.multiply(nl, nr, out=nl)
-            np.divide(nl, e - s1, out=y)
-            np.sqrt(y, out=y)
-            np.multiply(y, x, out=x)
-            np.abs(x, out=x)
-            arg = np.argmax(x, axis=1)
-            stat = x[cols[: rows.size], arg]
-            better = stat > best_stat[rows]
-            best_stat[rows[better]] = stat[better]
-            best_b[rows[better]] = (lo[:, 0] + c0 + arg)[better]
-        i = j
+    cols = np.arange(cells, dtype=float)
+    # row b of win is cum[b], cum[b + 1], ...; past cum[n] it reads zeros
+    win = np.lib.stride_tricks.sliding_window_view(np.append(cum, np.zeros(cells)), cells)
+    bufs = [np.empty(cells, dtype=t) for t in (bool, float, float, float)]
+    bufsize = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        i = 0
+        while i < widths.size:
+            # as many rows as fit under their running-max width; a row wider
+            # than a block alone
+            fit = np.maximum.accumulate(widths[i : i + max(1, _BLOCK_CELLS // int(widths[i]))])
+            rows = max(1, int(np.searchsorted(fit * np.arange(1, fit.size + 1), _BLOCK_CELLS,
+                                              side="right")))
+            j = i + rows
+            s1 = starts[i:j, None] - 1
+            e, hi = ends[i:j, None], his[i:j, None]
+            span = np.subtract(e, s1, dtype=float)  # lengths as floats, exact below 2**53
+            first = np.subtract(los[i:j, None], s1, dtype=float)  # left length at lo
+            top = np.subtract(hi, s1, dtype=float)  # and at hi
+            w = int(fit[rows - 1])
+            for c0 in range(0, w, _BLOCK_CELLS):
+                k = min(_BLOCK_CELLS, w - c0)
+                pad, nl, nr, x = (buf[: rows * k].reshape(rows, k) for buf in bufs)
+                y = win[los[i:j] + c0, :k]  # cum at b = lo + c0, lo + c0 + 1, ...
+                np.add(first + c0, cols[:k], out=nl)
+                # the padding past hi repeats the split at hi
+                np.greater(nl, top, out=pad)
+                np.copyto(y, cum.take(hi), where=pad)
+                np.minimum(nl, top, out=nl)
+                np.subtract(span, nl, out=nr)
+                # mean-difference form of the weighted CUSUM; identical to the
+                # two-term definition but exactly zero on constant stretches
+                np.subtract(y, cum.take(s1), out=x)
+                np.divide(x, nl, out=x)
+                np.subtract(cum.take(e), y, out=y)
+                np.divide(y, nr, out=y)
+                np.subtract(x, y, out=x)
+                np.multiply(nl, nr, out=nl)
+                np.divide(nl, span, out=y)
+                np.sqrt(y, out=y)
+                np.multiply(y, x, out=x)
+                np.abs(x, out=x)
+                arg = x.argmax(axis=1)
+                stat = x.max(axis=1)
+                better = stat > best_stat[i:j]
+                np.copyto(best_stat[i:j], stat, where=better)
+                np.copyto(best_b[i:j], los[i:j] + c0 + arg, where=better)
+            i = j
+    finally:
+        np.setbufsize(bufsize)
     return best_b, best_stat
 
 
@@ -188,6 +202,11 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
                   "lower --intervals")
     rng = np.random.default_rng(cfg.seed)
     starts, ends = _draw_intervals(n, count, cfg.min_len, rng)
+    # width-sorted intervals scan fastest; the recursion's pick (largest
+    # statistic, then smallest b) does not depend on their order
+    order = np.argsort(ends - starts, kind="stable")
+    starts, ends = starts[order], ends[order]
+    del order  # 8 bytes per interval the scan need not hold
     sigma = mad_scale(v)
     threshold = cfg.threshold_constant * sigma * math.sqrt(2.0 * math.log(n))
     # Cumulative-sum rounding leaves O(n^1.5 * eps * |y|) of noise in the
@@ -213,8 +232,8 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
         # >= 2 * min_len inside [lo, hi] keeps a nonempty clipped range
         seg_s = np.append(starts[clipped], lo)
         seg_e = np.append(ends[clipped], hi)
-        bs, stats = _best_per_interval(cum, seg_s, seg_e, np.maximum(seg_s, cand_lo),
-                                       np.minimum(seg_e - 1, cand_hi))
+        seg = np.array([seg_s, seg_e, np.maximum(seg_s, cand_lo), np.minimum(seg_e - 1, cand_hi)])
+        bs, stats = _best_per_interval(cum, *seg[:, np.argsort(seg[3] - seg[2], kind="stable")])
         bs = np.concatenate((full_b[cached], bs))
         stats = np.concatenate((full_stat[cached], stats))
         # largest statistic; ties go to the smallest b

@@ -228,6 +228,13 @@ class TestCmdSegment:
         assert "critical must be finite" in err
         assert "Out of range" not in err
 
+    @pytest.mark.parametrize("method,critical", [("mosum", "-1"), ("mosum", "0")])
+    def test_non_positive_critical_exits_1(self, capsys, method, critical):
+        # -1 used to pass and flip the boundary: upper -1.0, lower +1.0
+        assert main(["test", "--method", method, "--critical", critical, NILE]) == 1
+        err = capsys.readouterr().err
+        assert f"critical must be finite and positive, got {float(critical)}" in err
+
     # 1e308% used to end in an OverflowError traceback
     @pytest.mark.parametrize("min_seg", ["nan%", "inf%", "abc", "1.5", "101%", "1e308%"])
     def test_malformed_min_seg_is_argparse_error(self, capsys, min_seg):

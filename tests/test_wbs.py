@@ -304,6 +304,38 @@ class TestWbsSegment:
         assert got.criterion_trace == want.criterion_trace
         assert got.segment_means == want.segment_means
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_interval_order_is_immaterial(self, data):
+        # the scan reads width-sorted intervals fastest; the draw's order,
+        # reversed or shuffled, must not change any output
+        n = data.draw(st.integers(6, 60))
+        series = ss.TimeSeries(data.draw(awkward_values(n)), ss.PeriodIndex(1900))
+        cfg = ss.WbsConfig(
+            num_intervals=data.draw(st.one_of(st.integers(0, 40), st.just(10**6))),
+            threshold_constant=data.draw(st.sampled_from([0.2, 0.6, 1.3])),
+            seed=data.draw(st.integers(0, 3)),
+            min_len=data.draw(st.integers(2, n // 3)),
+        )
+
+        def reversed_draw(*args):
+            starts, ends = _draw_intervals(*args)
+            return starts[::-1], ends[::-1]
+
+        def shuffled_draw(*args):
+            starts, ends = _draw_intervals(*args)
+            perm = np.array(data.draw(st.permutations(range(starts.size))), dtype=int)
+            return starts[perm], ends[perm]
+
+        with mock.patch.object(stepscan.wbs, "_BLOCK_CELLS", data.draw(COARSER_BLOCKS)):
+            want = ss.wbs_segment(series, cfg)
+            for draw in (reversed_draw, shuffled_draw):
+                with mock.patch.object(stepscan.wbs, "_draw_intervals", draw):
+                    got = ss.wbs_segment(series, cfg)
+                assert got.breaks == want.breaks
+                assert got.criterion_trace == want.criterion_trace
+                assert got.segment_means == want.segment_means
+
     def test_ties_across_intervals_go_to_the_smallest_split(self):
         # two drawn intervals tie at b=2 and b=4; splitting at 4 first
         # would record a different statistic for 4
@@ -345,6 +377,25 @@ class TestWbsSegment:
             tracemalloc.stop()
         assert seg.num_breaks == 3
         assert peak < 4 << 20
+
+    def test_interval_bytes_bound_the_traced_peak(self):
+        # about 100,000 intervals over n = 600, more than 1/50 of all, so the
+        # draw shuffles every distinct interval; the peak stays within the
+        # plan the budget check makes, plus the scan's block buffers
+        sig, _ = ss.make_step_signal([0, 2, -1], [200] * 3, sigma=1.0, seed=4)
+        check = mock.patch.object(stepscan.wbs, "_check_budget",
+                                  wraps=stepscan.wbs._check_budget)
+        with check as budget:
+            tracemalloc.start()
+            try:
+                seg = ss.wbs_segment(sig, ss.WbsConfig(num_intervals=100_000))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        planned = budget.call_args.args[0]
+        assert planned > stepscan.wbs._INTERVAL_BYTES * 100_000  # the shuffle is planned
+        assert seg.num_breaks == 2
+        assert peak <= planned + 5 * 8 * stepscan.wbs._BLOCK_CELLS
 
 
 class TestWbsConfig:
