@@ -127,7 +127,7 @@ def _rank_sums(v: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _split_divergences(values: np.ndarray, alpha: float, min_size: int,
                        perms: np.ndarray | None = None,
-                       ) -> tuple[np.ndarray, np.ndarray, float | None] | None:
+                       ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """Q for every admissible split of each row of values[perms]; None when none exists.
 
     Returns (bs, q, total) where split b puts a row's first b values
@@ -135,7 +135,7 @@ def _split_divergences(values: np.ndarray, alpha: float, min_size: int,
     defaults to the identity and q has shape perms.shape[:-1] + bs.shape.
     total is the sum of |v_i - v_j|^alpha over all ordered pairs (the
     scale of the rounding error in q; it does not change under
-    permutation), or None at alpha = 2, whose branch forms no pairwise sums.
+    permutation).
 
     At alpha < 2 the within and between sums need only the row sums
     low[i] = sum_{j<i} d[i, j] and full[i] = sum_j d[i, j]: from
@@ -156,7 +156,8 @@ def _split_divergences(values: np.ndarray, alpha: float, min_size: int,
         np.cumsum(v[rows], axis=1, out=cum[:, 1:])
         delta = cum[:, bs] / nl - (cum[:, n:] - cum[:, bs]) / nr
         energy = 2.0 * delta * delta
-        total = None
+        dev = v - v.mean()  # sum of (v_i - v_j)^2 = 2n sum (v_i - mean)^2
+        total = 2.0 * n * float(dev @ dev)
     else:
         low, full = _rank_sums(v, rows) if alpha == 1.0 else _triangle_sums(v[rows], alpha)
         cum_low = np.cumsum(low, axis=1)
@@ -283,9 +284,6 @@ def permutation_test(values: np.ndarray, b: int, cfg: EdivConfig,
     if out is None:
         raise DataError(f"segment of {v.size} observations admits no split")
     bs, q, total = out
-    if total is None:  # alpha = 2: sum of (v_i - v_j)^2 = 2n sum (v_i - mean)^2
-        dev = v - v.mean()
-        total = 2.0 * v.size * float(dev @ dev)
     where = np.flatnonzero(bs == b)
     if where.size == 0:
         raise ValueError(f"split {b} violates min_size {cfg.min_size}")

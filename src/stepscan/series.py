@@ -345,26 +345,6 @@ class Segmentation:
     def num_breaks(self) -> int:
         return len(self.breaks)
 
-    def bounds(self) -> tuple[tuple[int, int], ...]:
-        """Segments as 1-based inclusive (start, end) pairs."""
-        edges = (0,) + self.breaks + (self.n,)
-        return tuple((a + 1, b) for a, b in zip(edges, edges[1:]))
-
-    def validate(self, values: Sequence[float], rtol: float = 1e-10) -> None:
-        """Recompute means and RSS from raw values; raise if stored fields drift."""
-        v = np.asarray(values, dtype=float)
-        if v.size != self.n:
-            raise ValueError(f"expected {self.n} values, got {v.size}")
-        rss = 0.0
-        for (a, b), mean in zip(self.bounds(), self.segment_means):
-            seg = v[a - 1 : b]
-            m = float(seg.mean())
-            if not math.isclose(m, mean, rel_tol=rtol, abs_tol=1e-12):
-                raise ValueError(f"stored mean {mean} for segment [{a}, {b}] differs from {m}")
-            rss += float(((seg - m) ** 2).sum())
-        if not math.isclose(rss, self.rss_total, rel_tol=rtol, abs_tol=1e-9):
-            raise ValueError(f"stored RSS {self.rss_total} differs from recomputed {rss}")
-
 
 _EPS = float(np.finfo(float).eps)
 

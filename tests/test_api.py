@@ -69,6 +69,22 @@ def test_library_imports_only_the_standard_library_and_numpy():
     assert foreign == []
 
 
+@pytest.mark.parametrize("path", [p for p in sorted((REPO / "src" / "stepscan").glob("*.py"))
+                                  if p.name != "__init__.py"],  # it re-exports by star import
+                         ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    """No import is left behind by a cut: each imported name is used or exported."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = getattr(importlib.import_module(f"stepscan.{path.stem}"), "__all__", [])
+    assert sorted(imported - used - set(exported)) == []
+
+
 def test_import_leaves_numpy_random_unloaded():
     """Importing the CLI builds no generator: numpy.random loads on first draw only."""
     code = "import sys, stepscan.cli; print('numpy.random' in sys.modules)"

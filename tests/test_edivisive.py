@@ -111,6 +111,17 @@ class TestEnergyDivergence:
         q, tol = split_q(xs, ys, alpha)
         assert q >= -tol
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("v", [
+        np.random.default_rng(4).normal(3.0, 2.0, 40),
+        np.random.default_rng(5).integers(-9, 9, 7).astype(float),
+        np.full(12, -2.5),  # its float mean is exact, so alpha = 2 also totals 0
+    ], ids=["normal", "integers", "constant"])
+    def test_total_is_the_ordered_pair_sum(self, v, alpha):
+        total = _split_divergences(v, alpha, 2)[2]
+        want = math.fsum(abs(a - b) ** alpha for a in v for b in v)
+        assert total == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_alpha_domain(self):
         for alpha in (0.0, -1.0, 2.5, float("nan")):
             with pytest.raises(ValueError, match="alpha"):

@@ -1,0 +1,71 @@
+"""Exact work counts of the DP and WBS kernels on fixed inputs.
+
+Counts do not depend on the host, so they catch a kernel that does more
+work where timings are too noisy to. They are taken by wrapping the
+module function each kernel calls for its work. A change that moves a
+count re-pins it here and says why in CHANGES.md, as for the digests.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from conftest import FIXTURES
+
+import stepscan as ss
+import stepscan.dating as dating
+import stepscan.wbs as wbs
+
+SIX_MEANS = [0.0, 2.0, -1.0, 1.5, -0.5, 2.5]
+
+
+def annual(values):
+    return ss.TimeSeries(values, ss.PeriodIndex(1900))
+
+
+def six_steps(n, offset=0.0, **kw):
+    lengths = [n // 6] * 5 + [n - 5 * (n // 6)]
+    return ss.make_step_signal(np.add(SIX_MEANS, offset), lengths, seed=0, **kw)[0]
+
+
+@pytest.mark.parametrize("s,span_rss_values", [
+    (annual(np.full(2000, 3.0)), 99_362),
+    (six_steps(2000, sigma=0.0), 599_500),
+    (six_steps(2000, offset=1e6), 2_610_215),
+    (annual(np.cumsum(np.random.default_rng(0).standard_normal(2000))), 423_435),
+    (annual(np.round(0.4 * np.random.default_rng(0).standard_normal(2000) + 10)), 211_095),
+], ids=["constant", "noiseless six steps", "six regimes at +1e6", "random walk", "rounded noise"])
+def test_dp_span_rss_values(monkeypatch, s, span_rss_values):
+    # n = 2000, min_len 100, layers up to 9 breaks
+    tri = ss.build_rss_triangle(s, 100)
+    count = 0
+    inner = dating._span_rss
+
+    def counting(s, i, j):
+        nonlocal count
+        out = inner(s, i, j)
+        count += np.size(out)
+        return out
+
+    monkeypatch.setattr(dating, "_span_rss", counting)
+    dating._suffix_costs(tri, 9)
+    assert count == span_rss_values
+
+
+@pytest.mark.parametrize("s,breaks,full_scan,rescans", [
+    (ss.read_csv(str(FIXTURES / "nile.csv")), (28, 45), 166_355, 18_456),
+    (six_steps(1200, sigma=0.0), (200, 400, 600, 800, 1000), 1_987_029, 26_827),
+], ids=["nile", "noiseless six steps"])
+def test_wbs_cells(monkeypatch, s, breaks, full_scan, rescans):
+    # default WbsConfig; cells are (interval, split) pairs, the first call's
+    # from the full scan and the later calls' from the recursion's rescans
+    cells = []
+    inner = wbs._best_per_interval
+
+    def counting(cum, starts, ends, los, his):
+        cells.append(int((his - los + 1).sum()))
+        return inner(cum, starts, ends, los, his)
+
+    monkeypatch.setattr(wbs, "_best_per_interval", counting)
+    assert ss.wbs_segment(s).breaks == breaks
+    assert (cells[0], sum(cells[1:])) == (full_scan, rescans)
