@@ -1,4 +1,4 @@
-"""Exact work counts of the DP and WBS kernels on fixed inputs.
+"""Exact work counts of the DP, WBS and e-divisive kernels on fixed inputs.
 
 Counts do not depend on the host, so they catch a kernel that does more
 work where timings are too noisy to. They are taken by wrapping the
@@ -14,6 +14,7 @@ from conftest import FIXTURES
 
 import stepscan as ss
 import stepscan.dating as dating
+import stepscan.edivisive as edivisive
 import stepscan.wbs as wbs
 
 SIX_MEANS = [0.0, 2.0, -1.0, 1.5, -0.5, 2.5]
@@ -69,3 +70,37 @@ def test_wbs_cells(monkeypatch, s, breaks, full_scan, rescans):
     monkeypatch.setattr(wbs, "_best_per_interval", counting)
     assert ss.wbs_segment(s).breaks == breaks
     assert (cells[0], sum(cells[1:])) == (full_scan, rescans)
+
+
+@pytest.mark.parametrize("s,cfg,breaks,tested,rows,batches,identity", [
+    (ss.read_csv(str(FIXTURES / "nile.csv")), ss.EdivConfig(min_size=15, alpha=2.0, seed=0),
+     (28,), [100, 72], 398, 3, 4),
+    (ss.make_step_signal([0, 3, 0, 3], [100] * 4, seed=0)[0],
+     ss.EdivConfig(min_size=30, alpha=1.0, seed=0, max_breaks=3),
+     (100, 200, 300), [400, 300, 200], 597, 12, 10),
+], ids=["nile", "four levels"])
+def test_edivisive_replicates(monkeypatch, s, cfg, breaks, tested, rows, batches, identity):
+    # tested: the segment length of each permutation test; rows: replicates
+    # drawn over all tests, in `batches` calls of _permutations, each scored
+    # by one kernel call with perms; identity: kernel calls that scan the
+    # splits of one segment (a segment too short to split is not scanned)
+    drawn = []
+    calls = {"identity": 0, "batch": 0}
+    permutations, divergences = edivisive._permutations, edivisive._split_divergences
+
+    def drawing(gen, n, seed, key, first, stop):
+        drawn.append((n, first, stop))
+        return permutations(gen, n, seed, key, first, stop)
+
+    def scoring(values, alpha, min_size, perms=None):
+        out = divergences(values, alpha, min_size, perms)
+        if out is not None:
+            calls["identity" if perms is None else "batch"] += 1
+        return out
+
+    monkeypatch.setattr(edivisive, "_permutations", drawing)
+    monkeypatch.setattr(edivisive, "_split_divergences", scoring)
+    assert ss.e_divisive(s, cfg).breaks == breaks
+    assert [n for n, first, _ in drawn if first == 0] == tested
+    assert sum(stop - first for _, first, stop in drawn) == rows
+    assert (len(drawn), calls["batch"], calls["identity"]) == (batches, batches, identity)
