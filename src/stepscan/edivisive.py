@@ -67,6 +67,8 @@ class EdivConfig:
             raise ValueError("sig_level must be in (0, 1)")
         if self.num_permutations < 1:
             raise ValueError("num_permutations must be positive")
+        if self.num_permutations > 1 << 32:  # a replicate index is one uint32 seed word
+            raise ValueError(f"num_permutations must be at most 2**32, got {self.num_permutations}")
         if self.max_breaks is not None and self.max_breaks < 0:
             raise ValueError(f"max_breaks must be nonnegative, got {self.max_breaks}")
         if self.seed < 0:
@@ -126,16 +128,15 @@ def _rank_sums(v: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _split_divergences(values: np.ndarray, alpha: float, min_size: int,
-                       perms: np.ndarray | None = None,
-                       ) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Q for every admissible split of each row of values[perms]; None when none exists.
+                       perms: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+    """Q for every admissible split of each row of values[perms].
 
-    Returns (bs, q, total) where split b puts a row's first b values
-    left and the rest right, both sides at least min_size long; perms
-    defaults to the identity and q has shape perms.shape[:-1] + bs.shape.
-    total is the sum of |v_i - v_j|^alpha over all ordered pairs (the
-    scale of the rounding error in q; it does not change under
-    permutation).
+    Requires len(values) >= 2 * min_size. Returns (bs, q, total) where
+    split b puts a row's first b values left and the rest right, both
+    sides at least min_size long; perms defaults to the identity and q
+    has shape perms.shape[:-1] + bs.shape. total is the sum of
+    |v_i - v_j|^alpha over all ordered pairs (the scale of the rounding
+    error in q; it does not change under permutation).
 
     At alpha < 2 the within and between sums need only the row sums
     low[i] = sum_{j<i} d[i, j] and full[i] = sum_j d[i, j]: from
@@ -143,8 +144,6 @@ def _split_divergences(values: np.ndarray, alpha: float, min_size: int,
     """
     v = np.asarray(values, dtype=float)
     n = v.size
-    if n < 2 * min_size:
-        return None
     perms = np.arange(n) if perms is None else np.asarray(perms)
     rows = perms.reshape(-1, n)
     bs = np.arange(min_size, n - min_size + 1)
@@ -177,10 +176,10 @@ def best_split(values: np.ndarray, cfg: EdivConfig) -> tuple[int, float] | None:
 
     Smallest b wins ties; None signals a segment too short to split.
     """
-    out = _split_divergences(np.asarray(values, dtype=float), cfg.alpha, cfg.min_size)
-    if out is None:
+    v = np.asarray(values, dtype=float)
+    if v.size < 2 * cfg.min_size:
         return None
-    bs, q, _ = out
+    bs, q, _ = _split_divergences(v, cfg.alpha, cfg.min_size)
     k = int(np.argmax(q))  # first maximum = smallest b
     return int(bs[k]), float(q[k])
 
@@ -206,8 +205,8 @@ def _hasher(hc: int, mult: int):
     return hashmix
 
 
-def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) seeded by SeedSequence(row) for each row of uint32 entropy words.
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """The four uint64 words SeedSequence(row) hands PCG64, for each row of uint32 entropy words.
 
     SeedSequence's pool of four words is mixed column by column over all
     rows at once; the uint32 arrays wrap without warning, as its C code does.
@@ -230,37 +229,26 @@ def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
             pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
     draw = _hasher(_INIT_B, _MULT_B)  # generate_state(4, np.uint64), as eight uint32 words
     words = [draw(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    seeds = np.stack([words[j] | words[j + 1] << 32 for j in range(0, 8, 2)], axis=1)
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in seeds.tolist():  # pcg64_set_seed: two LCG steps from 0
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
-    return states
+    return np.stack([words[j] | words[j + 1] << 32 for j in range(0, 8, 2)], axis=1)
 
 
 def _permutations(gen: np.random.Generator, n: int, seed: int, key: int,
                   first: int, stop: int) -> np.ndarray:
     """Rows default_rng([seed, key, r]).permutation(n) for r in range(first, stop).
 
-    The seeds of all rows are hashed in one pass, grouped by the word
-    count of r; each row then sets the state of gen's PCG64 and shuffles
-    an arange, as Generator.permutation does.
+    stop is at most 2**32, so r is one uint32 word. The seeds of all
+    rows are hashed in one pass; each row then sets the state of gen's
+    PCG64 and shuffles an arange, as Generator.permutation does.
     """
     head = _words(seed) + _words(key)
-    states = []
-    lo = first
-    while lo < stop:
-        width = len(_words(lo))
-        hi = min(stop, 1 << 32 * width)
-        r = np.arange(lo, hi, dtype=np.uint64)
-        entropy = np.empty((r.size, len(head) + width), np.uint32)
-        entropy[:, : len(head)] = head
-        for j in range(width):
-            entropy[:, len(head) + j] = r >> 32 * j & _MASK32
-        states += _pcg64_states(entropy)
-        lo = hi
+    entropy = np.empty((stop - first, len(head) + 1), np.uint32)
+    entropy[:, :-1] = head
+    entropy[:, -1] = np.arange(first, stop)
+    seeds = _pcg64_seeds(entropy).tolist()
     perms = np.tile(np.arange(n), (stop - first, 1))
-    for row, (state, inc) in zip(perms, states):
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(perms, seeds):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128  # pcg64_set_seed: two LCG steps from 0
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
         gen.bit_generator.state = {"bit_generator": "PCG64",
                                    "state": {"state": state, "inc": inc},
                                    "has_uint32": 0, "uinteger": 0}
@@ -280,10 +268,9 @@ def permutation_test(values: np.ndarray, b: int, cfg: EdivConfig,
     on summation order: p = (1 + #{Q*_r >= Q_obs - n eps T}) / (R + 1).
     """
     v = np.asarray(values, dtype=float)
-    out = _split_divergences(v, cfg.alpha, cfg.min_size)
-    if out is None:
+    if v.size < 2 * cfg.min_size:
         raise DataError(f"segment of {v.size} observations admits no split")
-    bs, q, total = out
+    bs, q, total = _split_divergences(v, cfg.alpha, cfg.min_size)
     where = np.flatnonzero(bs == b)
     if where.size == 0:
         raise ValueError(f"split {b} violates min_size {cfg.min_size}")

@@ -85,6 +85,27 @@ def test_module_uses_every_name_it_imports(path):
     assert sorted(imported - used - set(exported)) == []
 
 
+def test_package_reads_every_private_name_it_defines():
+    """No helper or constant is left behind by a cut: each private module-level name is read."""
+    defined, read = set(), set()
+    for path in sorted((REPO / "src" / "stepscan").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert {"_EPS", "_best_per_interval"} <= private  # the walk sees constants and functions
+    assert sorted(private - read) == []
+
+
 def test_import_leaves_numpy_random_unloaded():
     """Importing the CLI builds no generator: numpy.random loads on first draw only."""
     code = "import sys, stepscan.cli; print('numpy.random' in sys.modules)"

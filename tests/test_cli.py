@@ -278,14 +278,16 @@ class TestCmdCompare:
          "--min-seg 1 resolves to 1 observations; method wbs needs at least 2"),
         (["compare", "--methods", "dp,edivisive", "--alpha", "2", "--permutations", "0"], 1,
          "num_permutations must be positive"),
+        (["compare", "--methods", "dp,edivisive", "--permutations", "4294967297"], 1,
+         "num_permutations must be at most 2**32, got 4294967297"),
         (["compare", "--methods", "dp,edivisive", "--seed", "-1"], 1,
          "seed must be nonnegative, got -1"),
         (["compare", "--methods", "dp,wbs", "--seed", "-1"], 1,
          "seed must be nonnegative, got -1"),
         (["test", "--seed", "-1"], 1, "seed must be nonnegative, got -1"),
         (["segment", "--method", "dp", "--seed", "-1"], 1, "seed must be nonnegative, got -1"),
-    ], ids=["wbs-min-seg", "edivisive-permutations", "edivisive-seed", "wbs-seed",
-            "test-seed", "dp-seed"])
+    ], ids=["wbs-min-seg", "edivisive-permutations", "edivisive-permutations-cap",
+            "edivisive-seed", "wbs-seed", "test-seed", "dp-seed"])
     def test_every_config_checked_before_any_method_runs(self, capsys, monkeypatch,
                                                          argv, code, message):
         def spy(*args, **kwargs):

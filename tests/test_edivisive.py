@@ -127,6 +127,12 @@ class TestEnergyDivergence:
             with pytest.raises(ValueError, match="alpha"):
                 ss.EdivConfig(alpha=alpha)
 
+    def test_permutation_count_domain(self):
+        # a replicate index seeds as one uint32 word, so r < 2**32
+        assert ss.EdivConfig(num_permutations=2**32).num_permutations == 2**32
+        with pytest.raises(ValueError, match=r"at most 2\*\*32, got 4294967297"):
+            ss.EdivConfig(num_permutations=2**32 + 1)
+
 
 class TestBestSplit:
     def test_noiseless_step_found_exactly(self):
@@ -215,7 +221,7 @@ class TestReplicateStreams:
     def test_rows_equal_default_rng_permutations(self, n):
         step = max(1, stepscan.edivisive._BATCH_CELLS // n)  # rows per permutation_test batch
         ranges = [(0, 3), (step - 2, step), (step, step + 2),  # both sides of a batch edge
-                  (2**32 - 2, 2**32 + 2)]  # r gains a second uint32 word inside the range
+                  (2**32 - 3, 2**32)]  # the last replicates EdivConfig admits
         gen = np.random.Generator(np.random.PCG64(0))
         for seed in [0, 1, 2**32 - 1, 2**32, 123456789012, 2**40 + 5, 2**64 + 3]:
             for key in [0, 7, 2**33]:

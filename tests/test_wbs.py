@@ -378,6 +378,21 @@ class TestWbsSegment:
         assert seg.num_breaks == 3
         assert peak < 4 << 20
 
+    def test_peak_memory_does_not_grow_with_row_width(self):
+        # rows up to 60,000 splits wide, well past one _BLOCK_CELLS block:
+        # the scan takes them in column chunks and traces a 3.4 MiB peak; a
+        # scan taking each wide row as one block traced 5.5-5.6 MiB (at least
+        # 25 more bytes per column), so the bound sits between the two
+        sig, _ = ss.make_step_signal([0, 2, -1, 1], [15_000] * 4, sigma=1.0, seed=2)
+        tracemalloc.start()
+        try:
+            seg = ss.wbs_segment(sig, ss.WbsConfig(num_intervals=200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seg.breaks == (15_000, 30_000, 45_000)
+        assert peak < 4.5 * 2**20
+
     def test_interval_bytes_bound_the_traced_peak(self):
         # about 100,000 intervals over n = 600, more than 1/50 of all, so the
         # draw shuffles every distinct interval; the peak stays within the
