@@ -200,6 +200,11 @@ class TestBoundaryMath:
     def test_crossing_probability_of_zero_is_one(self):
         assert ss.brownian_motion_crossing_probability(0.0) == 1.0
 
+    @pytest.mark.parametrize("lam", [-0.0, -1e-300, -0.5, -5.0, -math.inf])
+    def test_crossing_probability_below_zero_is_one(self, lam):
+        # 1 - Phi(3 lam) >= 1/2 and the other term is >= 0, so the clip gives 1
+        assert ss.brownian_motion_crossing_probability(lam) == 1.0
+
     def test_quantile_inverts_pvalue(self):
         for level in (0.01, 0.05, 0.10, 0.25):
             c = ss.brownian_bridge_sup_quantile(level)

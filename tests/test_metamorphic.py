@@ -49,3 +49,34 @@ def test_dp_breaks_mirror_under_time_reversal(sig):
     m_back, bic_back = zip(*back.criterion_trace)
     assert m_back == m_fwd
     assert bic_back == pytest.approx(bic_fwd, rel=1e-9)
+
+
+def ediv_fit(sig, alpha):
+    return ss.e_divisive(sig, ss.EdivConfig(min_size=10, alpha=alpha,
+                                            num_permutations=49, seed=2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(separated_steps(), st.integers(-400, 400))
+def test_power_of_two_scaling_is_exact(sig, k):
+    # multiplying by 2**k is exact for normal floats, and so is every sum,
+    # square root and ratio the kernels take of the scaled values
+    c = 2.0**k
+    moved = sig.with_values(c * sig.values)
+    dp, dp_moved = dp_fit(sig), dp_fit(moved)
+    assert dp_moved.breaks == dp.breaks
+    assert dp_moved.segment_means == tuple(c * m for m in dp.segment_means)
+    assert dp_moved.rss_total == c * c * dp.rss_total
+    cfg = ss.WbsConfig(num_intervals=200, seed=1)
+    wbs, wbs_moved = ss.wbs_segment(sig, cfg), ss.wbs_segment(moved, cfg)
+    assert wbs_moved.breaks == wbs.breaks
+    assert wbs_moved.criterion_trace == tuple((b, c * t) for b, t in wbs.criterion_trace)
+    for alpha in (1.0, 2.0):
+        ediv, ediv_moved = ediv_fit(sig, alpha), ediv_fit(moved, alpha)
+        assert ediv_moved.breaks == ediv.breaks
+        assert ediv_moved.criterion_trace == ediv.criterion_trace
+    for build in (lambda s: ss.build_process(s, "ols_cusum"),
+                  lambda s: ss.build_process(s, "rec_cusum"),
+                  lambda s: ss.mosum_process(s, 0.2)):
+        assert build(moved).path.tobytes() == build(sig).path.tobytes()
+    assert ss.long_run_variance(moved).value == c * c * ss.long_run_variance(sig).value

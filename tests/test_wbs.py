@@ -179,11 +179,16 @@ class TestIntervalSampling:
         assert len(pairs) == starts.size
 
     def test_requesting_more_than_exist_enumerates_all(self):
-        rng = np.random.default_rng(0)
-        starts, ends = _draw_intervals(10, 10_000, 2, rng)
-        # intervals of length >= 4 inside 1..10
-        expected = sum(10 - (s + 3) + 1 for s in range(1, 8))
-        assert starts.size == expected
+        for n, min_len in ((10, 2), (31, 3)):
+            # every interval [s..e] of length >= 2*min_len inside 1..n
+            expected = {(s, e) for s in range(1, n + 1)
+                        for e in range(s + 2 * min_len - 1, n + 1)}
+            for count in (len(expected), len(expected) + 1, 10_000):
+                for seed in (0, 1, 7):
+                    rng = np.random.default_rng(seed)
+                    starts, ends = _draw_intervals(n, count, min_len, rng)
+                    assert starts.size == len(expected)
+                    assert set(zip(starts.tolist(), ends.tolist())) == expected
 
 
 class TestMadScale:

@@ -53,6 +53,33 @@ def test_dp_span_rss_values(monkeypatch, s, span_rss_values):
     assert count == span_rss_values
 
 
+@pytest.mark.parametrize("s,layer_peaks", [
+    (annual(np.full(2000, 3.0)), [1728, 1628, 1528, 1428, 1328, 1228, 1128, 1028]),
+    (six_steps(2000, sigma=0.0), [192, 147, 198, 197, 204, 204, 204, 204]),
+    (six_steps(2000, offset=1e6), [1728, 1628, 1528, 1428, 1328, 1228, 1128, 1028]),
+    (annual(np.cumsum(np.random.default_rng(0).standard_normal(2000))),
+     [101, 56, 54, 48, 40, 34, 38, 28]),
+    (annual(np.round(0.4 * np.random.default_rng(0).standard_normal(2000) + 10)),
+     [15, 17, 14, 15, 15, 12, 14, 14]),
+    (six_steps(2000), [43, 23, 11, 13, 11, 9, 9, 9]),
+], ids=["constant", "noiseless six steps", "six regimes at +1e6", "random walk",
+        "rounded noise", "six regimes"])
+def test_dp_peak_live_set(monkeypatch, s, layer_peaks):
+    # n = 2000, min_len 100; the largest live set that each of layers
+    # 2..9 carries after a block (the constant and +1e6 inputs reach
+    # theirs through the stop rule)
+    peaks = {}
+    inner = dating._Layer.step
+
+    def recording(self, *args):
+        inner(self, *args)
+        peaks[self] = max(peaks.get(self, 0), self.live.size)
+
+    monkeypatch.setattr(dating._Layer, "step", recording)
+    dating._suffix_costs(ss.build_rss_triangle(s, 100), 9)
+    assert list(peaks.values()) == layer_peaks
+
+
 @pytest.mark.parametrize("s,breaks,full_scan,rescans", [
     (ss.read_csv(str(FIXTURES / "nile.csv")), (28, 45), 166_355, 18_456),
     (six_steps(1200, sigma=0.0), (200, 400, 600, 800, 1000), 1_987_029, 26_827),
