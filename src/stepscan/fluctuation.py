@@ -261,10 +261,8 @@ def brownian_motion_crossing_probability(lam: float) -> float:
     """P(standard BM leaves +/- lam*(1+2t) somewhere on [0, 1]).
 
     Two-sided version of the classical linear-boundary crossing formula,
-    2 * (1 - Phi(3 lam) + exp(-4 lam^2) Phi(lam)).
+    2 * (1 - Phi(3 lam) + exp(-4 lam^2) Phi(lam)), clipped to [0, 1]: 1 for lam <= 0.
     """
-    if lam <= 0.0:
-        return 1.0
     one_sided = 1.0 - _norm_cdf(3.0 * lam) + math.exp(-4.0 * lam * lam) * _norm_cdf(lam)
     return min(max(2.0 * one_sided, 0.0), 1.0)
 

@@ -30,8 +30,6 @@ _MISSING = frozenset({".", "NA", ""})
 
 def _infer_frequency(dates: list[dt.date]) -> int | None:
     """Periods per year from the spacing, or None for daily/irregular."""
-    if len(dates) < 2:
-        return None
     months = [d.year * 12 + d.month for d in dates]
     steps = {b - a for a, b in zip(months, months[1:])}
     if len(steps) != 1:

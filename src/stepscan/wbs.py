@@ -151,16 +151,13 @@ def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 def _draw_intervals(n: int, count: int, min_len: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """count distinct intervals [s..e] with e - s + 1 >= 2*min_len, uniform;
-    all of them when count reaches their number. Needs n >= 2*min_len."""
+    all of them, shuffled, when count reaches their number. Needs n >= 2*min_len."""
     span = 2 * min_len
     max_start = n - span + 1
     per_start = n - span + 2 - np.arange(1, max_start + 1)  # choices of e per s
     cum = np.cumsum(per_start)
     total = int(cum[-1])
-    if count >= total:
-        ranks = np.arange(total)
-    else:
-        ranks = rng.choice(total, size=count, replace=False)
+    ranks = rng.choice(total, size=min(count, total), replace=False)
     s_idx = np.searchsorted(cum, ranks, side="right")
     before = np.where(s_idx > 0, cum[s_idx - 1], 0)
     starts = s_idx + 1
