@@ -15,7 +15,8 @@ from conftest import awkward_values
 
 import stepscan as ss
 import stepscan.edivisive
-from stepscan.edivisive import _permutations, _split_divergences, best_split, permutation_test
+from stepscan.edivisive import (_permutations, _rank_sums, _split_divergences, best_split,
+                                permutation_test)
 
 EPS = np.finfo(float).eps
 
@@ -403,8 +404,55 @@ def random_perms(data, n):
     return np.array([np.arange(n)] + [rng.permutation(n) for _ in range(extra)])
 
 
+def two_lane_rank_sums(v, perms):
+    """Reference _rank_sums: (count, sum) held as two float lanes per rank.
+
+    The kernel before the pairs were packed into complex numbers; the
+    packed kernel must match it bit for bit.
+    """
+    n = v.size
+    order = np.argsort(v, kind="stable")
+    xs = v[order] - v[order[n // 2]]
+    prefix = np.concatenate(([0.0], np.cumsum(xs)))
+    pos = np.arange(n)
+    full = xs * (2 * pos - n) - 2.0 * prefix[:-1] + prefix[-1]
+    ranks = np.argsort(order)[perms]
+    x = xs[ranks]
+    ps = np.cumsum(x, axis=1) - x
+    found = np.empty(x.shape + (2,))
+    seen = np.zeros(x.shape + (2,))
+    at = np.arange(x.shape[0])[:, None]
+    for a in range(0, n, stepscan.edivisive._BLOCK_POS):
+        z = min(a + stepscan.edivisive._BLOCK_POS, n)
+        kb = ranks[:, a:z]
+        pairs = (kb[:, None, :] < kb[:, :, None]) & np.tri(z - a, k=-1, dtype=bool)
+        block = np.stack((np.ones(kb.shape), x[:, a:z]), axis=2)
+        found[:, a:z] = np.cumsum(seen, axis=1)[at, kb] + pairs.astype(float) @ block
+        seen[at, kb] = block
+    return x * (2.0 * found[..., 0] - pos) - 2.0 * found[..., 1] + ps, full[ranks]
+
+
 class TestRankKernel:
     """The alpha = 1 rank-space row sums, several permutations per call."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_the_two_lane_kernel(self, data):
+        n = data.draw(st.integers(4, 300))
+        v = data.draw(st.one_of(
+            awkward_values(n), bumpy_values(n),
+            st.lists(st.integers(-20, 20), min_size=n, max_size=n).map(lambda x: np.array(x, float)),
+            st.floats(-1e6, 1e6).map(lambda c: np.full(n, c))))
+        min_size = data.draw(st.integers(1, n // 2))
+        perms = random_perms(data, n)
+        with mock.patch.object(stepscan.edivisive, "_BLOCK_POS", data.draw(POSITION_BLOCKS)):
+            got = _rank_sums(v, perms)
+            want = two_lane_rank_sums(v, perms)
+            q = _split_divergences(v, 1.0, min_size, perms)[1]
+            with mock.patch.object(stepscan.edivisive, "_rank_sums", two_lane_rank_sums):
+                want_q = _split_divergences(v, 1.0, min_size, perms)[1]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(q, want_q)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
