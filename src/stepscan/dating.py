@@ -394,7 +394,7 @@ def optimal_breaks(tri: RssTriangle, m: int) -> Segmentation:
     smallest break vector.
     """
     _check_dp(tri.n, tri.min_len, m)
-    breaks = _reconstruct(tri, _suffix_costs(tri, m + 1), m)
+    breaks = _reconstruct(tri, _suffix_costs(tri, max(m, 1)), m)
     return segmentation_from_breaks(tri.series, breaks, min_len=tri.min_len)
 
 

@@ -103,7 +103,10 @@ def _rank_sums(v: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray
     count and sum of earlier values of lower rank and ps_i the sum of
     all earlier values. cnt and sb come from a table of the ranks seen
     so far, cumulated once per block of _BLOCK_POS positions, plus a
-    dense triangle within the block: O(n^2 / B + n B) per row.
+    dense triangle within the block: O(n^2 / B + n B) per row. A
+    (cnt, sb) pair is one complex number, whose parts add apart and in
+    the order of two float lanes, so the sums are unchanged bit for bit.
+    The in-block triangle stays a float matmul; ranks compare as int32.
     """
     n = v.size
     order = np.argsort(v, kind="stable")
@@ -111,20 +114,21 @@ def _rank_sums(v: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray
     prefix = np.concatenate(([0.0], np.cumsum(xs)))
     pos = np.arange(n)
     full = xs * (2 * pos - n) - 2.0 * prefix[:-1] + prefix[-1]
-    ranks = np.argsort(order)[perms]
+    ranks = np.argsort(order).astype(np.int32)[perms]
     x = xs[ranks]
     ps = np.cumsum(x, axis=1) - x
-    found = np.empty(x.shape + (2,))  # (cnt, sb) per position
-    seen = np.zeros(x.shape + (2,))  # (1, value) per rank seen in earlier blocks
+    found = np.empty(x.shape, complex)  # cnt + 1j sb per position
+    seen = np.zeros(x.shape, complex)  # 1 + 1j value per rank seen in earlier blocks
     at = np.arange(x.shape[0])[:, None]
     for a in range(0, n, _BLOCK_POS):
         z = min(a + _BLOCK_POS, n)
         kb = ranks[:, a:z]
         pairs = (kb[:, None, :] < kb[:, :, None]) & np.tri(z - a, k=-1, dtype=bool)
         block = np.stack((np.ones(kb.shape), x[:, a:z]), axis=2)
-        found[:, a:z] = np.cumsum(seen, axis=1)[at, kb] + pairs.astype(float) @ block
-        seen[at, kb] = block
-    return x * (2.0 * found[..., 0] - pos) - 2.0 * found[..., 1] + ps, full[ranks]
+        found[:, a:z] = (np.cumsum(seen, axis=1)[at, kb]
+                         + (pairs.astype(float) @ block).view(complex)[..., 0])
+        seen[at, kb] = block.view(complex)[..., 0]
+    return x * (2.0 * found.real - pos) - 2.0 * found.imag + ps, full[ranks]
 
 
 def _split_divergences(values: np.ndarray, alpha: float, min_size: int,

@@ -97,6 +97,16 @@ class TestOptimalBreaks:
         with pytest.raises(ValueError, match="nonnegative, got -1"):
             ss.optimal_breaks(tri, -1)
 
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_sweeps_only_the_layers_the_backtrack_reads(self, m):
+        # the backtrack reads D[1..m]; m = 0 still needs a table with row 1
+        tri = ss.build_rss_triangle(annual(np.random.default_rng(5).normal(size=40)), 3)
+        with mock.patch.object(dating, "_suffix_costs", wraps=dating._suffix_costs) as spy:
+            seg = ss.optimal_breaks(tri, m)
+        assert spy.call_args.args[1] == max(m, 1)
+        assert len(seg.breaks) == m
+        assert np.array_equal(_suffix_costs(tri, max(m, 1))[1 : m + 1], _suffix_costs(tri, m + 1)[1 : m + 1])
+
     def test_matches_brute_force_small(self):
         rng = np.random.default_rng(4)
         for trial in range(25):

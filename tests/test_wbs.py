@@ -190,6 +190,14 @@ class TestIntervalSampling:
                     assert starts.size == len(expected)
                     assert set(zip(starts.tolist(), ends.tolist())) == expected
 
+    def test_draws_come_in_lexicographic_order(self):
+        # Nile's shape: 4,753 admissible intervals, so 5,000 draws them all
+        for count, size in ((5000, 4753), (300, 300)):
+            starts, ends = _draw_intervals(100, count, 2, np.random.default_rng(1))
+            pairs = list(zip(starts.tolist(), ends.tolist()))
+            assert len(pairs) == size
+            assert pairs == sorted(pairs)
+
 
 class TestMadScale:
     def test_gaussian_noise_level_recovered(self):
