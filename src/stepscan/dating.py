@@ -403,10 +403,10 @@ def bic_value(n: int, rss: float, m: int) -> float:
 
     The parameter count is m + 1 segment means, m break dates and one
     variance; additive constants are dropped since only the argmin is
-    used. RSS = 0 maps to -inf so noiseless fits always win.
+    used. RSS/n = 0 (RSS 0 or an underflow) maps to -inf: noiseless fits win.
     """
     penalty = (2 * m + 2) * math.log(n)
-    if rss <= 0.0:
+    if rss / n <= 0.0:
         return float("-inf")
     return n * math.log(rss / n) + penalty
 

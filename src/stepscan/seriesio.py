@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import warnings
 
 import numpy as np
@@ -74,9 +75,12 @@ def read_csv(path: str) -> TimeSeries:
                     rows.append((date, None))
                     continue
                 try:
-                    rows.append((date, float(raw)))
+                    value = float(raw)
                 except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad value {raw!r}") from None
+                    value = math.nan
+                if not math.isfinite(value):  # unparseable, nan, inf or 1e999
+                    raise ParseError(f"{path}:{lineno}: bad value {raw!r}")
+                rows.append((date, value))
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 

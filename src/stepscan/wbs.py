@@ -68,8 +68,8 @@ def mad_scale(values: np.ndarray) -> float:
 _BLOCK_CELLS = 1 << 14
 # Bytes per drawn interval: starts, ends and the split-range ends of the
 # full scan (24), its widths, best b and best statistic (24) and one
-# temporary; tracemalloc sees about 60 at 200,000 intervals over
-# n = 6000, the width sort peaks near 40 and the draw itself near 56.
+# temporary; tracemalloc sees about 59 at 200,000 intervals over
+# n = 6000, the draw's decode peaks near 49 and its width sort near 41.
 _INTERVAL_BYTES = 72
 # Ufunc buffer during the scan (numpy's default is 8192 elements): numpy
 # reads a per-row column in place only when a row is at least this long.
@@ -151,19 +151,31 @@ def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 def _draw_intervals(n: int, count: int, min_len: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """count distinct intervals [s..e] with e - s + 1 >= 2*min_len, uniform (all of
-    them when count reaches their number), sorted by (s, e). Needs n >= 2*min_len."""
+    them when count reaches their number), in scan order: by width, then by start.
+    Needs n >= 2*min_len; checks their working set against the budget before drawing."""
     span = 2 * min_len
     max_start = n - span + 1
     per_start = n - span + 2 - np.arange(1, max_start + 1)  # choices of e per s
     cum = np.cumsum(per_start)
     total = int(cum[-1])
-    ranks = rng.choice(total, size=min(count, total), replace=False)
-    ranks.sort()
+    count = min(count, total)
+    # numpy's choice without replacement shuffles all `total` ranks
+    # (8 bytes each) once it draws more than total / 50 of them
+    planned = _INTERVAL_BYTES * count + (8 * total if count > total // 50 else 0)
+    _check_budget(planned, "wild binary segmentation",
+                  f"working set for {count:,} intervals over {n} observations",
+                  "lower --intervals")
+    ranks = rng.choice(total, size=count, replace=False)
+    ranks.sort()  # sorted ranks decode faster
     s_idx = np.searchsorted(cum, ranks, side="right")
     before = np.where(s_idx > 0, cum[s_idx - 1], 0)
     starts = s_idx + 1
     ends = starts + span - 1 + (ranks - before)
-    return starts.astype(int), ends.astype(int)
+    del ranks, s_idx, before  # 24 bytes per interval the sort need not hold
+    # width-sorted intervals scan fastest; the recursion's pick (largest
+    # statistic, then smallest b) does not depend on their order
+    order = np.argsort(ends - starts, kind="stable")
+    return starts[order], ends[order]
 
 
 def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
@@ -189,22 +201,8 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
     n = s.n
     if n < 2 * cfg.min_len:
         raise DataError(f"need at least {2 * cfg.min_len} observations, got {n}")
-    span_starts = n - 2 * cfg.min_len + 1
-    total = span_starts * (span_starts + 1) // 2
-    count = min(cfg.num_intervals, total)
-    # numpy's choice without replacement shuffles all `total` ranks
-    # (8 bytes each) once it draws more than total / 50 of them
-    planned = _INTERVAL_BYTES * count + (8 * total if count > total // 50 else 0)
-    _check_budget(planned, "wild binary segmentation",
-                  f"working set for {count:,} intervals over {n} observations",
-                  "lower --intervals")
-    rng = np.random.default_rng(cfg.seed)
-    starts, ends = _draw_intervals(n, count, cfg.min_len, rng)
-    # width-sorted intervals scan fastest; the recursion's pick (largest
-    # statistic, then smallest b) does not depend on their order
-    order = np.argsort(ends - starts, kind="stable")
-    starts, ends = starts[order], ends[order]
-    del order  # 8 bytes per interval the scan need not hold
+    starts, ends = _draw_intervals(n, cfg.num_intervals, cfg.min_len,
+                                   np.random.default_rng(cfg.seed))
     sigma = mad_scale(v)
     threshold = cfg.threshold_constant * sigma * math.sqrt(2.0 * math.log(n))
     # Cumulative-sum rounding leaves O(n^1.5 * eps * |y|) of noise in the

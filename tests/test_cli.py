@@ -576,6 +576,18 @@ class TestProcessLevelContract:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("stepscan: values too large"), proc.stderr
 
+    def test_non_finite_deflator_value_names_the_file_and_line(self, tmp_path, capsys):
+        # the reader rejects it, so the message names the deflator file and
+        # its line rather than a position in the deflated series
+        lines = (FIXTURES / "gdpdef.csv").read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + ",nan"
+        bad = tmp_path / "gdpdef.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, report, _ = run(["segment", "--method", "wbs", "--quarterly", "mean",
+                               "--deflate", str(bad), str(FIXTURES / "oilprice_raw.csv")], tmp_path)
+        assert (code, report) == (1, None)
+        assert capsys.readouterr().err == f"stepscan: {bad}:6: bad value 'nan'\n"
+
 
 _OIL_CHAIN = ["--quarterly", "mean", "--deflate", "fixtures/gdpdef.csv",
               "--deflate-base", "2009", "--log", "fixtures/oilprice_raw.csv"]

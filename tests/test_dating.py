@@ -294,6 +294,15 @@ class TestBicSelection:
         seg = ss.select_breaks_bic(tri, 3)
         assert seg.num_breaks == 1
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-162])
+    def test_rss_whose_ratio_to_n_underflows_counts_as_zero(self, scale):
+        # at 1e-162 some fits keep a subnormal RSS whose ratio to n is 0,
+        # which math.log rejects; it must rank with RSS 0, not raise
+        v = np.repeat([0.0, 3.0], 1000) + np.random.default_rng(0).standard_normal(2000)
+        tri = ss.build_rss_triangle(annual(v * scale), 100)
+        assert ss.select_breaks_bic(tri, 3).breaks == (1000,)
+        assert bic_value(2000, 5e-324, 1) == -np.inf
+
     def test_infeasible_max_m(self):
         tri = ss.build_rss_triangle(annual(np.arange(20.0)), 6)
         with pytest.raises(ValueError):

@@ -48,6 +48,12 @@ class TestReadCsv:
         with pytest.raises(ss.ParseError, match=":3"):
             ss.read_csv(path)
 
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-Infinity", "1e999"])
+    def test_non_finite_value_reports_line_number(self, tmp_path, raw):
+        path = write(tmp_path, f"DATE,x\n2000-01-01,1\n2000-02-01,{raw}\n2000-03-01,2\n")
+        with pytest.raises(ss.ParseError, match=f"^{path}:3: bad value '{raw}'$"):
+            ss.read_csv(path)
+
     def test_bad_date_reports_line_number(self, tmp_path):
         path = write(tmp_path, "DATE,x\n2000-01-01,1\nnot-a-date,2\n")
         with pytest.raises(ss.ParseError, match=":3"):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -190,13 +192,49 @@ class TestIntervalSampling:
                     assert starts.size == len(expected)
                     assert set(zip(starts.tolist(), ends.tolist())) == expected
 
-    def test_draws_come_in_lexicographic_order(self):
+    def test_draws_come_in_scan_order(self):
         # Nile's shape: 4,753 admissible intervals, so 5,000 draws them all
         for count, size in ((5000, 4753), (300, 300)):
             starts, ends = _draw_intervals(100, count, 2, np.random.default_rng(1))
             pairs = list(zip(starts.tolist(), ends.tolist()))
             assert len(pairs) == size
-            assert pairs == sorted(pairs)
+            assert pairs == sorted(pairs, key=lambda p: (p[1] - p[0], p[0]))
+
+    @pytest.mark.parametrize("n,min_len,count,seed", [
+        (100, 2, 5000, 1),  # Nile's shape: all 4,753 intervals
+        (100, 2, 300, 0),
+        (100, 2, 0, 3),
+        (10, 2, 5000, 0),
+        (31, 3, 351, 7),
+        (600, 2, 100_000, 4),  # over 1/50 of all: numpy shuffles every rank
+        (5000, 40, 5000, 2),
+    ])
+    def test_returns_the_ordered_draw_stable_sorted_by_width(self, n, min_len, count, seed):
+        # reference: rank r is the r-th (start, end) pair in lexicographic
+        # order; decode the same ranks in that order, then sort by width
+        # keeping that order among equal widths
+        span = 2 * min_len
+        before = list(itertools.accumulate((n - span + 2 - s for s in range(1, n - span + 2)),
+                                           initial=0))  # pairs with a smaller start
+        ranks = np.random.default_rng(seed).choice(before[-1], min(count, before[-1]), replace=False)
+        pairs = []
+        for r in sorted(ranks.tolist()):
+            s = bisect.bisect_right(before, r)
+            pairs.append((s, s + span - 1 + r - before[s - 1]))
+        want = sorted(pairs, key=lambda p: p[1] - p[0])
+        starts, ends = _draw_intervals(n, count, min_len, np.random.default_rng(seed))
+        assert list(zip(starts.tolist(), ends.tolist())) == want
+        assert starts.dtype == ends.dtype == np.dtype(int)
+
+    def test_over_budget_raises_before_drawing(self):
+        # Nile's shape under a 100,000-byte budget: 72 bytes for each of the
+        # 4,753 intervals drawn plus 8 for each one the draw would shuffle
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with mock.patch.object(stepscan.series, "_BUDGET_BYTES", 100_000):
+            with pytest.raises(ss.DataError, match="380,240-byte working set for 4,753 intervals"):
+                _draw_intervals(100, 5000, 2, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestMadScale:
