@@ -66,10 +66,13 @@ def mad_scale(values: np.ndarray) -> float:
 # arrays (128 KB each) and padding mask stay in a 2 MB L2 cache whatever
 # the series length or the number of intervals.
 _BLOCK_CELLS = 1 << 14
+# Intervals per run of the CUSUM scan: a run's row constants (six floats
+# each) are computed at once into one 12 KB buffer; no block crosses a run.
+_RUN_ROWS = 256
 # Bytes per drawn interval: starts, ends and the split-range ends of the
 # full scan (24), its widths, best b and best statistic (24) and one
-# temporary; tracemalloc sees about 59 at 200,000 intervals over
-# n = 6000, the draw's decode peaks near 49 and its width sort near 41.
+# temporary; the scan's own buffers are fixed. tracemalloc sees about 59
+# at 200,000 intervals over n = 6000, the draw's decode near 49, its sort 41.
 _INTERVAL_BYTES = 72
 # Ufunc buffer during the scan (numpy's default is 8192 elements): numpy
 # reads a per-row column in place only when a row is at least this long.
@@ -84,65 +87,83 @@ def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     [starts[i]..ends[i]], the candidate splits b run over
     [los[i]..his[i]] (nonempty); b is the last index of the left part.
     Returns the best b (smallest on ties) and its |statistic| per
-    interval. Runs of consecutive intervals are scanned as 2-D blocks of
-    at most _BLOCK_CELLS cells, rows x the widest row, read and written
-    as slices: correct in any order, fastest sorted by split-range
-    width. A narrower row repeats its last split in the padding, which
-    never wins the first maximum. A row wider than a block is scanned in
-    column chunks, a later chunk winning only if strictly larger.
+    interval. Runs of _RUN_ROWS intervals get their row constants at once
+    and split into 2-D blocks of at most _BLOCK_CELLS cells, rows x the
+    running-max width, read and written as slices: correct in any order,
+    fastest sorted by split-range width. A narrower row repeats its last
+    split in the padding past the block's narrowest row, which never wins
+    the first maximum. A row wider than a block is scanned in column
+    chunks, a later chunk winning only if strictly larger.
     """
     widths = his - los + 1
-    best_b = np.zeros(starts.size, dtype=int)
-    best_stat = np.full(starts.size, -np.inf)
+    best_b = np.empty(starts.size, dtype=int)
+    best_stat = np.empty(starts.size)
     cells = min(_BLOCK_CELLS, int(widths.max(initial=0)) * widths.size)  # no block is larger
     cols = np.arange(cells, dtype=float)
     # row b of win is cum[b], cum[b + 1], ...; past cum[n] it reads zeros
     win = np.lib.stride_tricks.sliding_window_view(np.append(cum, np.zeros(cells)), cells)
     bufs = [np.empty(cells, dtype=t) for t in (bool, float, float, float)]
+    consts = np.empty((6, _RUN_ROWS))
+    ticks = np.arange(_RUN_ROWS + 1)
     bufsize = np.setbufsize(_UFUNC_BUFFER)
     try:
-        i = 0
-        while i < widths.size:
-            # as many rows as fit under their running-max width; a row wider
-            # than a block alone
-            fit = np.maximum.accumulate(widths[i : i + max(1, _BLOCK_CELLS // int(widths[i]))])
-            rows = max(1, int(np.searchsorted(fit * np.arange(1, fit.size + 1), _BLOCK_CELLS,
-                                              side="right")))
-            j = i + rows
-            s1 = starts[i:j, None] - 1
-            e, hi = ends[i:j, None], his[i:j, None]
-            span = np.subtract(e, s1, dtype=float)  # lengths as floats, exact below 2**53
-            first = np.subtract(los[i:j, None], s1, dtype=float)  # left length at lo
-            top = np.subtract(hi, s1, dtype=float)  # and at hi
-            w = int(fit[rows - 1])
-            for c0 in range(0, w, _BLOCK_CELLS):
-                k = min(_BLOCK_CELLS, w - c0)
-                pad, nl, nr, x = (buf[: rows * k].reshape(rows, k) for buf in bufs)
-                y = win[los[i:j] + c0, :k]  # cum at b = lo + c0, lo + c0 + 1, ...
-                np.add(first + c0, cols[:k], out=nl)
-                # the padding past hi repeats the split at hi
-                np.greater(nl, top, out=pad)
-                np.copyto(y, cum.take(hi), where=pad)
-                np.minimum(nl, top, out=nl)
-                np.subtract(span, nl, out=nr)
-                # mean-difference form of the weighted CUSUM; identical to the
-                # two-term definition but exactly zero on constant stretches
-                np.subtract(y, cum.take(s1), out=x)
-                np.divide(x, nl, out=x)
-                np.subtract(cum.take(e), y, out=y)
-                np.divide(y, nr, out=y)
-                np.subtract(x, y, out=x)
-                np.multiply(nl, nr, out=nl)
-                np.divide(nl, span, out=y)
-                np.sqrt(y, out=y)
-                np.multiply(y, x, out=x)
-                np.abs(x, out=x)
-                arg = x.argmax(axis=1)
-                stat = x.max(axis=1)
-                better = stat > best_stat[i:j]
-                np.copyto(best_stat[i:j], stat, where=better)
-                np.copyto(best_b[i:j], los[i:j] + c0 + arg, where=better)
-            i = j
+        for r0 in range(0, widths.size, _RUN_ROWS):
+            run = slice(r0, r0 + _RUN_ROWS)
+            ix = np.array([los[run], ends[run], his[run], starts[run] - 1])
+            m = ix.shape[1]
+            # left length at lo, span, left length at hi (floats, exact
+            # below 2**53), then cum at e, hi and s - 1
+            np.subtract(ix[:3], ix[3], out=consts[:3, :m], dtype=float)
+            cum.take(ix[1:], out=consts[3:, :m])
+            # rows a..t fit in one block when (t - a + 1) * reach[t] <=
+            # _BLOCK_CELLS, that is when lowest[t] <= a; lowest rises strictly
+            reach = np.maximum.accumulate(widths[run])
+            lowest = ticks[1 : m + 1] - _BLOCK_CELLS // reach
+            narrowest = np.minimum.accumulate(widths[run][::-1])[::-1]  # from row a on
+            a = 0
+            while a < m:
+                # a row wider than a block alone, at its own width so that
+                # its chunks stay inside its split range
+                b = max(a + 1, int(lowest.searchsorted(a, "right")))
+                rows, i, j = b - a, r0 + a, r0 + b
+                w = int(widths[i] if rows == 1 else reach[b - 1])
+                lo = los[i:j]
+                fi, sp, tp, ce, ch, cs = consts[:, a:b, None]
+                for c0 in range(0, w, _BLOCK_CELLS):
+                    k = min(_BLOCK_CELLS, w - c0)
+                    pad, nl, nr, x = (buf[: rows * k].reshape(rows, k) for buf in bufs)
+                    y = win[lo + c0 if c0 else lo, :k]  # cum at b = lo + c0, lo + c0 + 1, ...
+                    np.add(fi + c0 if c0 else fi, cols[:k], out=nl)
+                    # the padding past hi repeats the split at hi; no row
+                    # pads before column p
+                    p = max(0, int(narrowest[a]) - c0)
+                    if p < k:
+                        np.greater(nl[:, p:], tp, out=pad[:, p:])
+                        np.copyto(y[:, p:], ch, where=pad[:, p:])
+                        np.minimum(nl[:, p:], tp, out=nl[:, p:])
+                    np.subtract(sp, nl, out=nr)
+                    # mean-difference form of the weighted CUSUM; identical to the
+                    # two-term definition but exactly zero on constant stretches
+                    np.subtract(y, cs, out=x)
+                    np.divide(x, nl, out=x)
+                    np.subtract(ce, y, out=y)
+                    np.divide(y, nr, out=y)
+                    np.subtract(x, y, out=x)
+                    np.multiply(nl, nr, out=nl)
+                    np.divide(nl, sp, out=y)
+                    np.sqrt(y, out=y)
+                    np.multiply(y, x, out=x)
+                    np.abs(x, out=x)
+                    arg = x.argmax(axis=1)
+                    stat = x[ticks[:rows], arg]
+                    if c0 == 0:
+                        best_stat[i:j] = stat
+                        np.add(lo, arg, out=best_b[i:j])
+                    else:
+                        better = stat > best_stat[i:j]
+                        np.copyto(best_stat[i:j], stat, where=better)
+                        np.copyto(best_b[i:j], lo + c0 + arg, where=better)
+                a = b
     finally:
         np.setbufsize(bufsize)
     return best_b, best_stat

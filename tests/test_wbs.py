@@ -164,6 +164,43 @@ class TestBestPerInterval:
         assert np.array_equal(shuffled_b, np.tile(best_b, 2)[perm])
         assert np.array_equal(shuffled_stat, np.tile(best_stat, 2)[perm])
 
+    @staticmethod
+    def run_case(case):
+        """(cum, columns, block cells) for one run-boundary case on n = 120.
+
+        Rounded noise makes equal statistics within a row, so the tie rule
+        is exercised too.
+        """
+        rng = np.random.default_rng(5)
+        n = 120
+        cum = np.concatenate(([0.0], np.cumsum(np.round(rng.normal(0, 2, n)))))
+        s = rng.integers(1, n - 40, 24)
+        e = s + rng.integers(1, 40, 24)
+        lo = s + (e - s) // 4
+        hi = e - 1 - (e - s) // 5
+        if case == "shuffled duplicates":
+            perm = rng.permutation(48)
+            return cum, [np.tile(c, 2)[perm] for c in (s, e, lo, hi)], 64
+        order = np.argsort(hi - lo, kind="stable")
+        cols = [c[order] for c in (s, e, lo, hi)]
+        # 64 cells hold rows of several widths in one block; 5 cells are
+        # narrower than most rows, which then run in column chunks
+        return cum, cols, 64 if case == "mixed widths" else 5
+
+    @pytest.mark.parametrize("run_rows", [1, 2, 5])
+    @pytest.mark.parametrize("case", ["shuffled duplicates", "mixed widths", "wide rows"])
+    def test_runs_of_any_length_change_no_bit(self, case, run_rows):
+        cum, cols, cells = self.run_case(case)
+        default_b, default_stat = _best_per_interval(cum, *cols)
+        with (mock.patch.object(stepscan.wbs, "_BLOCK_CELLS", cells),
+              mock.patch.object(stepscan.wbs, "_RUN_ROWS", run_rows)):
+            best_b, best_stat = _best_per_interval(cum, *cols)
+        assert np.array_equal(best_b, default_b)
+        assert best_stat.tobytes() == default_stat.tobytes()
+        for i in range(cols[0].size):
+            b, stat, _ = all_pairs_scan(cum, *(c[i : i + 1] for c in cols))
+            assert (best_b[i], best_stat[i]) == (b, stat)
+
 
 class TestIntervalSampling:
     @settings(max_examples=30)

@@ -8,9 +8,12 @@ count re-pins it here and says why in CHANGES.md, as for the digests.
 
 from __future__ import annotations
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO
 
 import stepscan as ss
 import stepscan.dating as dating
@@ -97,6 +100,49 @@ def test_wbs_cells(monkeypatch, s, breaks, full_scan, rescans):
     monkeypatch.setattr(wbs, "_best_per_interval", counting)
     assert ss.wbs_segment(s).breaks == breaks
     assert (cells[0], sum(cells[1:])) == (full_scan, rescans)
+
+
+@pytest.fixture(scope="module")
+def wbs_long_jobs(tmp_path_factory):
+    """The three seed-0 jobs of the benchmark's wbs-long workload, by id."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(REPO / "bench"))
+        workloads = importlib.import_module("workloads")
+        jobs = {job.id: job for job in workloads.build("wbs-long", 0,
+                                                       str(tmp_path_factory.mktemp("wbs")))}
+    # the first run in a process imports modules (numpy.ma, about 1 MiB
+    # traced) that later runs do not; take that out of the traced peaks
+    ss.wbs_segment(six_steps(60))
+    return jobs
+
+
+@pytest.mark.parametrize("job_id,breaks,full_scan,rescans", [
+    ("wbs-2000", (333, 666, 999, 1331, 1665), 3_389_648, 26_847),
+    ("wbs-5000", (833, 1666, 2499, 3333, 4165), 8_376_767, 45_498),
+    ("wbs-10000", (1666, 3333, 4998, 6664, 8331), 16_820_087, 57_600),
+])
+def test_wbs_long_cells_and_peak(monkeypatch, wbs_long_jobs, job_id, breaks, full_scan,
+                                 rescans):
+    # 5,000 intervals; cells are counted as in test_wbs_cells, over 11
+    # rescans each. The scan's buffers are fixed (2 MB at most), so the
+    # traced peak stays near the draw's 72 bytes per interval
+    cells = []
+    inner = wbs._best_per_interval
+
+    def counting(cum, starts, ends, los, his):
+        cells.append(int((his - los + 1).sum()))
+        return inner(cum, starts, ends, los, his)
+
+    monkeypatch.setattr(wbs, "_best_per_interval", counting)
+    tracemalloc.start()
+    try:
+        seg = wbs_long_jobs[job_id].run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seg.breaks == breaks
+    assert (cells[0], len(cells) - 1, sum(cells[1:])) == (full_scan, 11, rescans)
+    assert peak <= 1.5 * 2**20
 
 
 @pytest.mark.parametrize("s,cfg,breaks,tested,rows,batches,identity", [
