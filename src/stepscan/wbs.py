@@ -58,8 +58,15 @@ def mad_scale(values: np.ndarray) -> float:
     d = np.diff(np.asarray(values, dtype=float))
     if d.size == 0:
         return 0.0
-    mad = float(np.median(np.abs(d - np.median(d))))
+    mad = float(_median(np.abs(d - _median(d))))
     return mad / (math.sqrt(2.0) * 0.6745)
+
+
+def _median(x: np.ndarray) -> np.float64:
+    """np.median of nonempty x, bit for bit, without its numpy.ma import."""
+    p = np.partition(x, (x.size // 2 - 1, x.size // 2, -1))
+    mid = p[(x.size - 1) // 2:x.size // 2 + 1]  # np.mean of it sums from +0.0
+    return p[-1] if np.isnan(p[-1]) else np.add.reduce(mid) / mid.size
 
 
 # Cells per block of the CUSUM scan, rows x width: its four float work

@@ -114,6 +114,17 @@ def test_import_leaves_numpy_random_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_wbs_runs_leave_numpy_ma_unloaded():
+    """WBS's noise scale takes no np.median, whose first call imports numpy.ma."""
+    code = ("import sys, stepscan.cli as c\n"
+            "codes = [c.main(['segment', '--method', 'wbs', 'fixtures/nile.csv']),\n"
+            "         c.main(['compare', '--methods', 'dp,wbs,edivisive', 'fixtures/nile.csv'])]\n"
+            "print(codes, 'numpy.ma' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=str(REPO), check=True)
+    assert proc.stderr.splitlines()[-1] == "[0, 0] False"
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_benchmark_outputs_match_reference_digests(monkeypatch, tmp_path, workload):
     """One seed-0 pass of a benchmark workload: every check passes, every digest is pinned."""

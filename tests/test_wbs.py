@@ -8,14 +8,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import awkward_values
 
 import stepscan as ss
 import stepscan.wbs
-from stepscan.wbs import _best_per_interval, _draw_intervals, mad_scale
+from stepscan.wbs import _best_per_interval, _draw_intervals, _median, mad_scale
 
 
 def all_pairs_scan(cum, starts, ends, los, his):
@@ -274,7 +274,50 @@ class TestIntervalSampling:
         assert rng.bit_generator.state == state
 
 
+# Sizes 0-3 and up to 300, odd and even, drawn from a few levels (ties)
+# that are small integers, rounded or wide-ranging, with optional noise,
+# at scale 1 or 2**+-1000, then mixed with signed zeros, subnormals and
+# 2**+-1000 unscaled. No sum or difference that mad_scale takes overflows.
+MEDIAN_LEVELS = st.one_of(st.integers(-3, 3).map(float),
+                          st.floats(-1e3, 1e3).map(lambda x: round(x, 1)),
+                          st.floats(-1e6, 1e6))
+MEDIAN_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 2.0**1000, -2.0**-1000]
+
+
+@st.composite
+def median_inputs(draw):
+    n = draw(st.one_of(st.integers(0, 3), st.integers(4, 300)))
+    levels = np.array(draw(st.lists(MEDIAN_LEVELS, min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = levels[rng.integers(0, levels.size, n)]
+    if draw(st.booleans()):
+        v += rng.standard_normal(n)
+    v *= draw(st.sampled_from([1.0, 2.0**-1000, 2.0**1000]))
+    edges = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    v[edges] = rng.choice(MEDIAN_EDGES, int(edges.sum()))
+    return v
+
+
+def bits(x):
+    """The bytes of a float64, with every NaN alike."""
+    return "nan" if math.isnan(x) else np.float64(x).tobytes()
+
+
 class TestMadScale:
+    @settings(max_examples=300, deadline=None)
+    @given(median_inputs(), st.booleans())
+    @example(np.array([-0.0]), False)
+    @example(np.array([1.0, -0.0, -0.0, 2.0]), False)  # numpy's mean sums from +0.0
+    def test_medians_are_numpys_bit_for_bit(self, v, with_nan):
+        if with_nan and v.size:
+            v[v.size // 3] = np.nan
+        if v.size:
+            assert bits(_median(v)) == bits(np.median(v))
+        got = mad_scale(v)
+        with mock.patch.object(stepscan.wbs, "_median", np.median):
+            assert bits(got) == bits(mad_scale(v))
+        assert math.isnan(got) == (with_nan and v.size > 1)
+
     def test_gaussian_noise_level_recovered(self):
         rng = np.random.default_rng(3)
         v = rng.normal(0, 2.0, 5000)

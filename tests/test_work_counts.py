@@ -108,12 +108,8 @@ def wbs_long_jobs(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(REPO / "bench"))
         workloads = importlib.import_module("workloads")
-        jobs = {job.id: job for job in workloads.build("wbs-long", 0,
+        return {job.id: job for job in workloads.build("wbs-long", 0,
                                                        str(tmp_path_factory.mktemp("wbs")))}
-    # the first run in a process imports modules (numpy.ma, about 1 MiB
-    # traced) that later runs do not; take that out of the traced peaks
-    ss.wbs_segment(six_steps(60))
-    return jobs
 
 
 @pytest.mark.parametrize("job_id,breaks,full_scan,rescans", [
