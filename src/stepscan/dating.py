@@ -8,11 +8,14 @@ recursion over per-segment RSS values; the number of breaks is chosen
 by the Bayesian Information Criterion.
 
 The recursion sweeps the start points right to left in blocks of
-_BLOCK_STARTS, stepping every layer through a block before the next,
-and evaluates only the split candidates that can still win: a candidate
-is dropped once, as a function of the segment mean, another candidate
-is below it everywhere by more than a rounding margin (functional
-pruning, as in pDPA and FPOP). The cost table stays bit-identical to
+_BLOCK_STARTS, stepping every layer through a block before the next.
+A layer with more than _SHORT_BLOCKS blocks of starts evaluates only
+the split candidates that can still win: a candidate is dropped once,
+as a function of the segment mean, another candidate is below it
+everywhere by more than a rounding margin (functional pruning, as in
+pDPA and FPOP). A shorter layer, where pruning costs more than it
+saves, reads every candidate from one span-RSS rectangle per block that
+all such layers share. The cost table stays bit-identical to
 evaluating every split.
 """
 
@@ -81,6 +84,11 @@ def _check_dp(n: int, min_len: int, max_breaks: int) -> None:
 
 # Starts per block of the pruned Bellman sweep.
 _BLOCK_STARTS = 96
+# A layer whose starts fit in this many blocks never prunes: a block of
+# pruning costs about 124 numpy operations, and reading every candidate
+# took 0.14-0.53 of the pruned time at 191 to 761 starts per layer on
+# seven input shapes (1.46 times as long on a constant series at 1,351).
+_SHORT_BLOCKS = 7
 # Mean intervals are widened by this share of the largest mean magnitude
 # in the domain, far more than the few-ulp rounding of their arithmetic.
 _WIDEN = 2.0 ** -40
@@ -103,12 +111,18 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     ascending j, as layer j reads D[j - 1] inside the block when
     h < _BLOCK_STARTS. The block holding layer j's last start n - jh + 1
     is its first, and it uses the block's head up to that start. Each
-    layer evaluates the new candidates and the previous block's best
-    candidate at every start; the largest of the resulting per-start
-    minima, U, bounds every cell of the block from above. Then it
-    evaluates the live candidates with D[j - 1, c] < U: span RSS values
-    are >= 0, so any other one costs at least U there. The live set is
-    then pruned for the blocks to come.
+    layer evaluates the new candidates at every start. A short layer,
+    one whose n - jh + 1 starts fit in _SHORT_BLOCKS blocks, then
+    evaluates every later candidate too: the block builds their span RSS
+    at its starts once, out to the first short layer's last candidate,
+    and each short layer reads a prefix of its columns. The choice
+    depends only on n, h and j, so a layer keeps it for its whole sweep.
+    Any other layer evaluates the previous block's best candidate at
+    every start; the largest of the resulting per-start minima, U,
+    bounds every cell of the block from above. Then it evaluates the
+    live candidates with D[j - 1, c] < U: span RSS values are >= 0, so
+    any other one costs at least U there. The live set is then pruned
+    for the blocks to come.
 
     Pruning (pDPA, Rigaill 2015). As a function of the segment mean mu,
     candidate c costs q_c(mu) = D[j-1, c] + sum_{k<c} (y_k - mu)^2. Its
@@ -144,11 +158,12 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     interval ends move out (in, for the covering test) by _WIDEN of the
     largest mean magnitude. _reconstruct still scans every split.
 
-    A layer stops pruning at the first block where, of its 4 _BLOCK_STARTS
-    or more starts in earlier blocks, its live set holds more than half:
-    with a +1e6 offset the snap ties most spans and nothing can be dropped.
-    It stays stopped: each later block adds k starts to the count and k
-    candidates to the live set, so twice the live set stays above it.
+    A pruning layer stops pruning at the first block where, of its
+    4 _BLOCK_STARTS or more starts in earlier blocks, its live set holds
+    more than half: with a +1e6 offset the snap ties most spans and
+    nothing can be dropped. It stays stopped: each later block adds k
+    starts to the count and k candidates to the live set, so twice the
+    live set stays above it. A short layer never prunes at all.
     """
     s, n, h = tri.series, tri.n, tri.min_len
     D = np.full((jmax + 1, n + 2), np.inf)
@@ -156,11 +171,13 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     if jmax < 2:
         return D
     plan = _Plan.build(s, h)
-    layers = [_Layer() for _ in range(2, jmax + 1)]
+    layers = [_Layer(n - j * h + 1 <= _SHORT_BLOCKS * _BLOCK_STARTS) for j in range(2, jmax + 1)]
+    # the first short layer's candidates end at layer j - 1's last start
+    last = next((n - (j - 1) * h + 1 for j, layer in enumerate(layers, start=2) if layer.short), 0)
     a_hi = n - 2 * h + 1
     while a_hi >= 1:
         a_lo = max(1, a_hi - _BLOCK_STARTS + 1)
-        blk = _Block(s, h, a_lo, a_hi, plan)
+        blk = _Block(s, h, a_lo, a_hi, plan, last)
         for j, layer in enumerate(layers, start=2):
             swept = n - j * h + 2 - a_lo  # layer j's starts a_lo..n - j h + 1
             k = min(blk.nb, swept)
@@ -223,10 +240,11 @@ class _Block:
     The new candidates c = a + h, their span RSS at every start they are
     admissible for (pairs i <= k of the triangle, row by row), and, per
     pair of new candidates c' < c (rows c'), the mean m of y[c'..c-1]
-    and m times its sum.
+    and m times its sum. For the short layers, rect holds the span RSS
+    at every start to the candidates after the new ones, up to last.
     """
 
-    def __init__(self, s: TimeSeries, h: int, a_lo: int, a_hi: int, plan: _Plan):
+    def __init__(self, s: TimeSeries, h: int, a_lo: int, a_hi: int, plan: _Plan, last: int):
         nb = a_hi - a_lo + 1
         self.a_lo, self.nb = a_lo, nb
         ti, tk, self.row_first = plan.triangle if nb == _BLOCK_STARTS else _triangle(nb)
@@ -238,14 +256,18 @@ class _Block:
         self.sdm = cc - cc[:, None]
         self.m = self.sdm * plan.inv_gap[:nb, :nb]
         self.sdm *= self.m
+        c = a_hi + h + 1
+        self.rect = None if last < c else _span_rss(s, self.starts[:, None], np.arange(c - 1, last))
 
 
 class _Layer:
     """One layer's sweep state, carried from block to block: the live
     candidates, their mean intervals [lo; hi], and the probe (the best
-    candidate at the last block's smallest start)."""
+    candidate at the last block's smallest start). A short layer keeps
+    none of it: it reads every candidate."""
 
-    def __init__(self):
+    def __init__(self, short: bool):
+        self.short = short
         self.live = np.empty(0, dtype=np.intp)
         self.ends = np.empty((2, 0))
         self.probe = None
@@ -258,6 +280,13 @@ class _Layer:
         # the new candidates (+inf past prev's last start), then the probe
         vals = blk.rss + prev[blk.cols]
         best = np.minimum.reduceat(vals, blk.row_first)[:k]
+        if self.short:  # the before candidates after the new ones, all at once
+            if before:
+                c = blk.new[-1] + 1
+                vals = blk.rect[:, :before] + prev[c : c + before]
+                np.minimum(best, vals.min(axis=1), out=best)
+            out[blk.a_lo : blk.a_lo + k] = best
+            return
         i = int(np.argmin(vals[:k]))  # the next probe: best candidate at a_lo
         nxt, at_lo = new[i], vals[i]
         del vals  # block-sized temporaries are freed once used

@@ -65,7 +65,8 @@ def make_step_signal(means: Sequence[float], lengths: Sequence[int],
         e = rng.standard_normal(n) * sigma
     else:
         e = _ar1_noise(n, rho, sigma, rng)
-    dates = tuple(_START + dt.timedelta(days=i) for i in range(n))
+    first = _START.toordinal()
+    dates = tuple(map(dt.date.fromordinal, range(first, first + n)))
     series = TimeSeries(signal + e, DateIndex(dates), label="synthetic")
     breaks = tuple(np.cumsum(lengths)[:-1].astype(int).tolist())
     return series, breaks

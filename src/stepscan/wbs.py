@@ -105,10 +105,12 @@ def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     widths = his - los + 1
     best_b = np.empty(starts.size, dtype=int)
     best_stat = np.empty(starts.size)
-    cells = min(_BLOCK_CELLS, int(widths.max(initial=0)) * widths.size)  # no block is larger
-    cols = np.arange(cells, dtype=float)
+    widest = int(widths.max(initial=0))
+    cells = min(_BLOCK_CELLS, widest * widths.size)  # no block is larger
+    width = min(cells, widest)  # nor wider
+    cols = np.arange(width, dtype=float)
     # row b of win is cum[b], cum[b + 1], ...; past cum[n] it reads zeros
-    win = np.lib.stride_tricks.sliding_window_view(np.append(cum, np.zeros(cells)), cells)
+    win = np.lib.stride_tricks.sliding_window_view(np.append(cum, np.zeros(width)), width)
     bufs = [np.empty(cells, dtype=t) for t in (bool, float, float, float)]
     consts = np.empty((6, _RUN_ROWS))
     ticks = np.arange(_RUN_ROWS + 1)

@@ -202,6 +202,19 @@ def six_regimes(n, seed, offset=0.0):
     return ss.make_step_signal(means, lengths, seed=seed)[0]
 
 
+def assert_each_path_is_dense(tri, jmax, prunes):
+    """_suffix_costs equals the dense reference bit for bit as the block
+    rule splits the layers, with every layer pruning (_SHORT_BLOCKS at 0;
+    then _prune runs exactly when `prunes`) and with every layer reading
+    its block's rectangle (then _prune never runs)."""
+    ref = layer_outer_suffix_costs(tri, jmax)
+    for blocks, called in ((dating._SHORT_BLOCKS, None), (0, prunes), (tri.n + 1, False)):
+        with mock.patch.object(dating, "_SHORT_BLOCKS", blocks), \
+                mock.patch.object(dating, "_prune", wraps=dating._prune) as spy:
+            assert np.array_equal(_suffix_costs(tri, jmax), ref)
+        assert called is None or spy.called == called
+
+
 class TestPrunedSuffixCosts:
     """The pruned kernel against the dense layer-outer reference, bit for bit."""
 
@@ -213,8 +226,10 @@ class TestPrunedSuffixCosts:
         h = data.draw(st.integers(1, max(1, n // 3)))
         jmax = data.draw(st.integers(1, n // h))
         tri = ss.build_rss_triangle(annual(v), h)
-        with mock.patch.object(dating, "_BLOCK_STARTS", data.draw(st.sampled_from([1, 3, 64]))):
-            assert np.array_equal(_suffix_costs(tri, jmax), layer_outer_suffix_costs(tri, jmax))
+        starts = data.draw(st.sampled_from([1, 3, 64]))
+        with mock.patch.object(dating, "_BLOCK_STARTS", starts):
+            # a pruning layer calls _prune in every block but the lowest
+            assert_each_path_is_dense(tri, jmax, jmax >= 2 and n - 2 * h + 1 > starts)
 
     @pytest.mark.parametrize("n, h", [(300, 10), (600, 30), (1000, 100)])
     @pytest.mark.parametrize("offset", [1e5, 1e6, 3e6])
@@ -227,7 +242,7 @@ class TestPrunedSuffixCosts:
         s = six_regimes(n, seed, offset)
         for values in (s.values, np.round(s.values)):
             tri = ss.build_rss_triangle(annual(values), h)
-            assert np.array_equal(_suffix_costs(tri, 9), layer_outer_suffix_costs(tri, 9))
+            assert_each_path_is_dense(tri, 9, True)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bit_identical_when_squares_underflow(self, seed):
@@ -237,7 +252,7 @@ class TestPrunedSuffixCosts:
         for h in (5, 9):
             tri = ss.build_rss_triangle(annual(v), h)
             with mock.patch.object(dating, "_BLOCK_STARTS", 3):
-                assert np.array_equal(_suffix_costs(tri, 4), layer_outer_suffix_costs(tri, 4))
+                assert_each_path_is_dense(tri, 4, True)
 
     def test_evaluates_under_2_5_percent_of_the_dense_cells(self, monkeypatch):
         # each block's new-candidate triangle is evaluated once for all layers

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import datetime as dt
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,10 @@ def test_lengths_past_the_calendar_are_rejected_before_any_array(lengths):
 def test_negative_seed_rejected():
     with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
         ss.make_step_signal([0.0, 5.0], [10, 10], seed=-1)
+
+
+def test_dates_are_consecutive_days_from_2000():
+    s, _ = ss.make_step_signal([0.0, 1.0], [400, 700], sigma=0.0)
+    start = dt.date(2000, 1, 1)
+    assert s.index.dates == tuple(start + dt.timedelta(days=i) for i in range(1100))
+    assert type(s.index.dates[0]) is dt.date

@@ -56,6 +56,47 @@ def test_dp_span_rss_values(monkeypatch, s, span_rss_values):
     assert count == span_rss_values
 
 
+def test_dp_oil_reads_rectangles_and_never_prunes(monkeypatch, wti_log_real):
+    # the fixtures chain (n = 267), min_len 10, up to 15 breaks: layer 2
+    # has 248 starts, so every layer fits in 7 blocks and reads every
+    # candidate; the count includes the backtrack's rows
+    cells, pruned = 0, 0
+    inner, prune = dating._span_rss, dating._prune
+
+    def counting(s, i, j):
+        nonlocal cells
+        out = inner(s, i, j)
+        cells += np.size(out)
+        return out
+
+    def pruning(*args):
+        nonlocal pruned
+        pruned += 1
+        return prune(*args)
+
+    monkeypatch.setattr(dating, "_span_rss", counting)
+    monkeypatch.setattr(dating, "_prune", pruning)
+    seg = ss.select_breaks_bic(ss.build_rss_triangle(wti_log_real, 10), 15)
+    assert seg.breaks == (60, 108, 131, 144, 156, 185, 201, 211, 230, 242)
+    assert (cells, pruned) == (31_738, 0)
+
+
+def test_dp_short_sweep_peak():
+    # layer 2 has 7 * 96 = 672 starts, so no layer prunes and the lowest
+    # block reads the widest rectangle, 96 starts by 576 candidates; with
+    # _span_rss's temporaries the sweep holds under 8 arrays of its size
+    # beyond the cost table
+    tri = ss.build_rss_triangle(annual(np.random.default_rng(0).standard_normal(691)), 10)
+    tri.series.cumulants
+    tracemalloc.start()
+    try:
+        D = dating._suffix_costs(tri, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= D.nbytes + 8 * (8 * 96 * 576)
+
+
 @pytest.mark.parametrize("s,layer_peaks", [
     (annual(np.full(2000, 3.0)), [1728, 1628, 1528, 1428, 1328, 1228, 1128, 1028]),
     (six_steps(2000, sigma=0.0), [192, 147, 198, 197, 204, 204, 204, 204]),
