@@ -8,15 +8,16 @@ recursion over per-segment RSS values; the number of breaks is chosen
 by the Bayesian Information Criterion.
 
 The recursion sweeps the start points right to left in blocks of
-_BLOCK_STARTS, stepping every layer through a block before the next.
-A layer with more than _SHORT_BLOCKS blocks of starts evaluates only
-the split candidates that can still win: a candidate is dropped once,
-as a function of the segment mean, another candidate is below it
-everywhere by more than a rounding margin (functional pruning, as in
-pDPA and FPOP). A shorter layer, where pruning costs more than it
-saves, reads every candidate from one span-RSS rectangle per block that
-all such layers share. The cost table stays bit-identical to
-evaluating every split.
+_BLOCK_STARTS, stepping every layer through a block before the next;
+every layer reads one span-RSS rectangle per block. A layer with more
+than _SHORT_BLOCKS blocks of starts reads only the block's new
+candidates there and evaluates only the later ones that can still win:
+a candidate is dropped once, as a function of the segment mean,
+another candidate is below it everywhere by more than a rounding margin
+(functional pruning, as in pDPA and FPOP). A shorter layer, where
+pruning costs more than it saves, reads every candidate from the
+rectangle. The cost table stays bit-identical to evaluating every
+split.
 """
 
 from __future__ import annotations
@@ -105,18 +106,18 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     loop as the reference).
 
     Order. The starts sweep right to left in blocks of _BLOCK_STARTS,
-    laid down from layer 2's last start n - 2h + 1. A block's new
-    candidates c = a + h, their span RSS at every start and their pair
-    means are built once (_Block); then the layers step through it in
-    ascending j, as layer j reads D[j - 1] inside the block when
-    h < _BLOCK_STARTS. The block holding layer j's last start n - jh + 1
-    is its first, and it uses the block's head up to that start. Each
-    layer evaluates the new candidates at every start. A short layer,
-    one whose n - jh + 1 starts fit in _SHORT_BLOCKS blocks, then
-    evaluates every later candidate too: the block builds their span RSS
-    at its starts once, out to the first short layer's last candidate,
-    and each short layer reads a prefix of its columns. The choice
-    depends only on n, h and j, so a layer keeps it for its whole sweep.
+    laid down from layer 2's last start n - 2h + 1. A block builds
+    once (_Block) the span RSS from its starts to its new candidates
+    c = a + h and on to the first short layer's last candidate, +inf
+    where c < a + h, and the pair means of its new candidates; then the
+    layers step through it in ascending j, as layer j reads D[j - 1]
+    inside the block when h < _BLOCK_STARTS. The block holding layer j's
+    last start n - jh + 1 is its first, and it uses the block's head up
+    to that start. Each layer evaluates the new candidates at every
+    start. A short layer, one whose n - jh + 1 starts fit in
+    _SHORT_BLOCKS blocks, evaluates every later candidate in the same
+    step, from a prefix of the rectangle's columns. The choice depends
+    only on n, h and j, so a layer keeps it for its whole sweep.
     Any other layer evaluates the previous block's best candidate at
     every start; the largest of the resulting per-start minima, U,
     bounds every cell of the block from above. Then it evaluates the
@@ -199,7 +200,6 @@ class _Plan:
     wid: float             # _WIDEN times the largest |mu| of the domain
     inv_gap: np.ndarray    # 1 / (c - c') between a block's new candidates,
     not_later: np.ndarray  # and +inf where c is not later than c'
-    triangle: tuple        # pairs (start i, candidate k >= i) of a block, row starts
 
     @staticmethod
     def build(s: TimeSeries, h: int) -> "_Plan":
@@ -224,40 +224,32 @@ class _Plan:
             wid=wid,
             inv_gap=1.0 / np.maximum(gap, 1.0),
             not_later=np.where(gap > 0, 0.0, np.inf),
-            triangle=_triangle(_BLOCK_STARTS),
         )
-
-
-def _triangle(nb: int) -> tuple:
-    """Row and column of each pair i <= k in a block of nb, row by row, and row starts."""
-    ti, tk = np.triu_indices(nb)
-    return ti, tk, np.flatnonzero(ti == tk)
 
 
 class _Block:
     """What every layer shares at the starts a_lo..a_hi of one block.
 
-    The new candidates c = a + h, their span RSS at every start they are
-    admissible for (pairs i <= k of the triangle, row by row), and, per
+    The new candidates c = a + h; rss, the span RSS from every start to
+    every candidate c = a_lo + h + t (column t) out to the first short
+    layer's last candidate, last, and +inf where c < a + h; and, per
     pair of new candidates c' < c (rows c'), the mean m of y[c'..c-1]
-    and m times its sum. For the short layers, rect holds the span RSS
-    at every start to the candidates after the new ones, up to last.
+    and m times its sum.
     """
 
     def __init__(self, s: TimeSeries, h: int, a_lo: int, a_hi: int, plan: _Plan, last: int):
         nb = a_hi - a_lo + 1
         self.a_lo, self.nb = a_lo, nb
-        ti, tk, self.row_first = plan.triangle if nb == _BLOCK_STARTS else _triangle(nb)
         self.starts = np.arange(a_lo, a_hi + 1)
         self.new = self.starts + h
-        self.cols = self.new[tk]
-        self.rss = _span_rss(s, self.starts[ti], self.cols - 1)
+        ends = np.arange(a_lo + h - 1, max(a_hi + h, last))
+        with np.errstate(divide="ignore", invalid="ignore"):  # spans of length <= 0 when h < nb
+            self.rss = _span_rss(s, self.starts[:, None], ends)
+        np.copyto(self.rss[:, :nb], np.inf, where=np.tri(nb, k=-1, dtype=bool))
         cc = s.cumulants[0][self.new - 1]
         self.sdm = cc - cc[:, None]
         self.m = self.sdm * plan.inv_gap[:nb, :nb]
         self.sdm *= self.m
-        c = a_hi + h + 1
-        self.rect = None if last < c else _span_rss(s, self.starts[:, None], np.arange(c - 1, last))
 
 
 class _Layer:
@@ -277,25 +269,23 @@ class _Layer:
         """Fill out at the block's first k starts from prev, with before starts in earlier blocks."""
         cum, cumsq = s.cumulants
         starts, new = blk.starts[:k], blk.new[:k]
-        # the new candidates (+inf past prev's last start), then the probe
-        vals = blk.rss + prev[blk.cols]
-        best = np.minimum.reduceat(vals, blk.row_first)[:k]
-        if self.short:  # the before candidates after the new ones, all at once
-            if before:
-                c = blk.new[-1] + 1
-                vals = blk.rect[:, :before] + prev[c : c + before]
-                np.minimum(best, vals.min(axis=1), out=best)
+        # the new candidates (+inf past prev's last start) and, on a short
+        # layer, the before candidates after them, all at once
+        w = blk.nb + before if self.short else blk.nb
+        vals = blk.rss[:k, :w] + prev[new[0] : new[0] + w]
+        best = vals.min(axis=1)
+        if self.short:
             out[blk.a_lo : blk.a_lo + k] = best
             return
-        i = int(np.argmin(vals[:k]))  # the next probe: best candidate at a_lo
-        nxt, at_lo = new[i], vals[i]
+        i = int(np.argmin(vals[0, :k]))  # the next probe: best candidate at a_lo
+        nxt, at_lo = new[i], vals[0, i]
         del vals  # block-sized temporaries are freed once used
         if self.probe is not None:
             vals = _span_rss(s, starts, self.probe - 1) + prev[self.probe]
             np.minimum(best, vals, out=best)
             if vals[0] < at_lo:
                 nxt, at_lo = self.probe, vals[0]
-        row0 = blk.rss[:k]  # span RSS at a_lo, to learn which c never snap
+        row0 = blk.rss[0, :k]  # span RSS at a_lo, to learn which c never snap
         f = prev[self.live] < best.max()
         old = self.live[f]
         if old.size:

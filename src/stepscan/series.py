@@ -353,14 +353,21 @@ def _span_rss(s: TimeSeries, i, j):
     """RSS of the spans [i..j] (1-based, inclusive), broadcast over i and j.
 
     The cumulant difference leaves O(len * eps * qsum) of noise on
-    segments with no variation; anything below that scale is zero.
+    segments with no variation; anything below that scale is zero. The
+    arithmetic runs in place in three arrays of the output's shape (0-d
+    for scalar i and j).
     """
     cum, cumsq = s.cumulants
-    ssum = cum[j] - cum[i - 1]
+    raw = np.asarray(cum[j] - cum[i - 1])  # the span sum, then its RSS
     qsum = cumsq[j] - cumsq[i - 1]
-    lens = j - i + 1
-    raw = qsum - ssum * ssum / lens
-    return np.where(raw <= 16.0 * _EPS * lens * qsum, 0.0, raw)
+    lens = np.subtract(j + 1, i, dtype=float)
+    raw *= raw
+    raw /= lens
+    np.subtract(qsum, raw, out=raw)
+    lens *= 16.0 * _EPS  # the snap bound 16 eps len qsum
+    lens *= qsum
+    raw[raw <= lens] = 0.0
+    return raw
 
 
 def segmentation_from_breaks(s: TimeSeries, breaks: Sequence[int], min_len: int,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,11 +14,21 @@ from conftest import awkward_values, brute_force_breaks
 import stepscan as ss
 import stepscan.dating as dating
 from stepscan.dating import _suffix_costs, bic_value
-from stepscan.series import _span_rss
+from stepscan.series import _EPS, _span_rss
 
 
 def annual(values):
     return ss.TimeSeries(values, ss.PeriodIndex(1900))
+
+
+def reference_span_rss(s, i, j):
+    """_span_rss as one expression, each step a full-size temporary."""
+    cum, cumsq = s.cumulants
+    ssum = cum[j] - cum[i - 1]
+    qsum = cumsq[j] - cumsq[i - 1]
+    lens = j - i + 1
+    raw = qsum - ssum * ssum / lens
+    return np.where(raw <= 16.0 * _EPS * lens * qsum, 0.0, raw)
 
 
 class TestRssTriangle:
@@ -57,6 +68,33 @@ class TestRssTriangle:
             # broadcast over starts with a fixed end, as the DP's last layer
             tails = np.array([_span_rss(s, a, i) for a in range(1, i + 1)])
             np.testing.assert_array_equal(_span_rss(s, np.arange(1, i + 1), i), tails)
+
+    @pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e6, 1.0), (0.0, 2.0 ** -500)])
+    def test_bit_identical_to_one_expression(self, offset, scale):
+        rng = np.random.default_rng(3)
+        v = np.concatenate([rng.normal(size=40), np.full(30, 2.5), rng.normal(size=40)])
+        s = annual(v * scale + offset)
+        cases = [(1, 110), (41, 70), (45, 60), (np.int64(7), np.int64(7)),  # 41..70 is constant
+                 (np.arange(1, 100), 105), (3, np.arange(3, 111)),
+                 (np.arange(1, 41)[:, None], np.arange(40, 111))]
+        for i, j in cases:
+            got, ref = _span_rss(s, i, j), reference_span_rss(s, i, j)
+            assert type(got) is type(ref) is np.ndarray  # 0-d for scalar i and j
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_rectangle_peak_under_3_5_outputs(self):
+        # the size of a short DP block's widest rectangle, 96 starts by
+        # 672 candidates
+        s = annual(np.random.default_rng(4).normal(size=800))
+        s.cumulants
+        tracemalloc.start()
+        try:
+            out = _span_rss(s, np.arange(1, 97)[:, None], np.arange(100, 772))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (96, 672)
+        assert peak <= 3.5 * out.nbytes
 
     def test_min_len_validation(self):
         with pytest.raises(ValueError):

@@ -33,14 +33,19 @@ def six_steps(n, offset=0.0, **kw):
 
 
 @pytest.mark.parametrize("s,span_rss_values", [
-    (annual(np.full(2000, 3.0)), 99_362),
-    (six_steps(2000, sigma=0.0), 599_500),
-    (six_steps(2000, offset=1e6), 2_610_215),
-    (annual(np.cumsum(np.random.default_rng(0).standard_normal(2000))), 423_435),
-    (annual(np.round(0.4 * np.random.default_rng(0).standard_normal(2000) + 10)), 211_095),
+    (annual(np.full(2000, 3.0)), 184_070),
+    (six_steps(2000, sigma=0.0), 684_208),
+    (six_steps(2000, offset=1e6), 2_694_923),
+    (annual(np.cumsum(np.random.default_rng(0).standard_normal(2000))), 508_143),
+    (annual(np.round(0.4 * np.random.default_rng(0).standard_normal(2000) + 10)), 295_803),
 ], ids=["constant", "noiseless six steps", "six regimes at +1e6", "random walk", "rounded noise"])
 def test_dp_span_rss_values(monkeypatch, s, span_rss_values):
-    # n = 2000, min_len 100, layers up to 9 breaks
+    # n = 2000, min_len 100, layers up to 9 breaks. Each block of nb starts
+    # builds a full rectangle, nb (nb - 1) / 2 cells below its diagonal
+    # (masked to +inf) more than its triangle of new candidates: layer 2's
+    # 1,801 starts are 18 blocks of 96 and one of 73, so each count is
+    # 18 * 4,560 + 2,628 = 84,708 above the triangle-only count
+    # (99,362 / 599,500 / 2,610,215 / 423,435 / 211,095)
     tri = ss.build_rss_triangle(s, 100)
     count = 0
     inner = dating._span_rss
@@ -59,7 +64,9 @@ def test_dp_span_rss_values(monkeypatch, s, span_rss_values):
 def test_dp_oil_reads_rectangles_and_never_prunes(monkeypatch, wti_log_real):
     # the fixtures chain (n = 267), min_len 10, up to 15 breaks: layer 2
     # has 248 starts, so every layer fits in 7 blocks and reads every
-    # candidate; the count includes the backtrack's rows
+    # candidate; the count includes the backtrack's rows. Its 248 starts
+    # are 2 blocks of 96 and one of 56, whose rectangles hold
+    # 2 * 4,560 + 1,540 = 10,660 cells below their diagonals: 31,738 + 10,660
     cells, pruned = 0, 0
     inner, prune = dating._span_rss, dating._prune
 
@@ -78,7 +85,7 @@ def test_dp_oil_reads_rectangles_and_never_prunes(monkeypatch, wti_log_real):
     monkeypatch.setattr(dating, "_prune", pruning)
     seg = ss.select_breaks_bic(ss.build_rss_triangle(wti_log_real, 10), 15)
     assert seg.breaks == (60, 108, 131, 144, 156, 185, 201, 211, 230, 242)
-    assert (cells, pruned) == (31_738, 0)
+    assert (cells, pruned) == (42_398, 0)
 
 
 def test_dp_short_sweep_peak():
