@@ -161,9 +161,10 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv(header: list[str], rows) -> str:
-    """CSV text; no field written here needs quoting."""
-    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+def _csv(header: list[str], cols) -> str:
+    """CSV text from equal-length columns; no field written here needs quoting."""
+    rows = map(",".join, zip(*(map(str, col) for col in cols)))
+    return "\n".join((",".join(header), *rows)) + "\n"
 
 
 def _emit(out: str | None, input_block: dict, method: str, config: dict,
@@ -179,10 +180,10 @@ def _emit(out: str | None, input_block: dict, method: str, config: dict,
     _write(out, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
-def _fit_rows(series: TimeSeries, fits: list[TimeSeries]):
-    """(date, value, fitted...) per observation."""
-    dates = (series.period_date(i).isoformat() for i in range(1, series.n + 1))
-    return zip(dates, series.values.tolist(), *(f.values.tolist() for f in fits))
+def _fit_columns(series: TimeSeries, fits: list[TimeSeries]) -> list[list]:
+    """The date, value and fitted columns, one entry per observation."""
+    dates = [series.period_date(i).isoformat() for i in range(1, series.n + 1)]
+    return [dates, series.values.tolist(), *(f.values.tolist() for f in fits)]
 
 
 def _finite(x: float) -> float | str:
@@ -234,9 +235,9 @@ def cmd_test(args) -> None:
     }
     _emit(args.out, input_block, args.method, config, results)
     if args.plot:
-        rows = zip(process.times.tolist(), process.path.tolist(), result.upper.tolist(),
-                   (-result.upper).tolist())
-        _write(args.plot, _csv(["t", "process", "boundary_upper", "boundary_lower"], rows))
+        cols = [process.times.tolist(), process.path.tolist(), result.upper.tolist(),
+                (-result.upper).tolist()]
+        _write(args.plot, _csv(["t", "process", "boundary_upper", "boundary_lower"], cols))
 
 
 def _configure(series: TimeSeries, method: str, args) -> tuple[Callable[[], Segmentation], dict]:
@@ -269,8 +270,8 @@ def cmd_segment(args) -> None:
     seg = run()
     _emit(args.out, input_block, args.method, config, _segmentation_results(series, seg))
     if args.plot:
-        rows = _fit_rows(series, [fitted_step(series, seg)])
-        _write(args.plot, _csv(["date", "value", "fitted"], rows))
+        cols = _fit_columns(series, [fitted_step(series, seg)])
+        _write(args.plot, _csv(["date", "value", "fitted"], cols))
 
 
 def _nearest(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -320,8 +321,8 @@ def cmd_compare(args) -> None:
     }
     _emit(args.out, input_block, "compare", config, results)
     if args.plot:
-        rows = _fit_rows(series, [fitted_step(series, segs[m]) for m in methods])
-        _write(args.plot, _csv(["date", "value"] + [f"fitted_{m}" for m in methods], rows))
+        cols = _fit_columns(series, [fitted_step(series, segs[m]) for m in methods])
+        _write(args.plot, _csv(["date", "value"] + [f"fitted_{m}" for m in methods], cols))
 
 
 def cmd_synth(args) -> None:
@@ -334,10 +335,10 @@ def cmd_synth(args) -> None:
     except ValueError as exc:
         raise UnsupportedError(f"invalid signal spec: {exc}") from None
 
-    _write(args.out, _csv(["DATE", "value"], _fit_rows(series, [])))
+    _write(args.out, _csv(["DATE", "value"], _fit_columns(series, [])))
     if args.truth:
-        rows = [(b, series.period_date(b).isoformat()) for b in true_breaks]
-        _write(args.truth, _csv(["break_index", "break_date"], rows))
+        dates = [series.period_date(b).isoformat() for b in true_breaks]
+        _write(args.truth, _csv(["break_index", "break_date"], [true_breaks, dates]))
 
 
 @functools.cache

@@ -10,6 +10,7 @@ to a pure mean-shift statistic (the variant used for level dating).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+# The pool rows that each mixing round of SeedSequence's hash mixes into.
+_OTHERS = [np.array([d for d in range(4) if d != src]) for src in range(4)]
 
 __all__ = [
     "EdivConfig",
@@ -196,44 +199,61 @@ def _words(x: int) -> list[int]:
     return out
 
 
-def _hasher(hc: int, mult: int):
-    """SeedSequence's hashmix: xor a word with a running constant, multiply, fold."""
+@functools.cache
+def _hash_steps(hc: int, mult: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply words of k successive SeedSequence hashmix calls
+    from running constant hc, as read-only (k, 1) uint32 columns."""
+    words = [hc]
+    for _ in range(k):
+        words.append(words[-1] * mult & _MASK32)
+    col = np.array(words, np.uint32)[:, None]
+    col.flags.writeable = False
+    return col[:-1], col[1:]
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hc
-        value = value ^ hc
-        hc = hc * mult & _MASK32
-        value *= hc
-        return value ^ (value >> 16)
 
-    return hashmix
+# The hash words of rows of up to four entropy words and of the output draw,
+# made at import so that these long-lived arrays are not allocated among the
+# first permutation test's temporaries.
+_hash_steps(_INIT_A, _MULT_A, 16)
+_hash_steps(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix: xor with the running constant, multiply by its next value, fold."""
+    value = value ^ xor
+    value *= mul
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> 16)
 
 
 def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     """The four uint64 words SeedSequence(row) hands PCG64, for each row of uint32 entropy words.
 
-    SeedSequence's pool of four words is mixed column by column over all
-    rows at once; the uint32 arrays wrap without warning, as its C code does.
+    SeedSequence's pool of four words is one (4, rows) array. Its calls
+    that hash the same word are stacked: the 4 initial words at once,
+    each mixing round's word into the 3 others as 3 rows, each extra
+    entropy column into all 4, and the 8 output words as one draw. The
+    uint32 arrays wrap without warning, as its C code does.
     """
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = x * _MIX_L - y * _MIX_R
-        return out ^ (out >> 16)
-
     rows, width = entropy.shape
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[:, i] if i < width else np.zeros(rows, np.uint32))
-            for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    xor, mul = _hash_steps(_INIT_A, _MULT_A, 4 * max(4, width))
+    pool = np.zeros((4, rows), np.uint32)
+    pool[: min(width, 4)] = entropy.T[:4]
+    pool = _hashmix(pool, xor[:4], mul[:4])
+    for src, dst in enumerate(_OTHERS):
+        k = 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[k : k + 3], mul[k : k + 3]))
     for src in range(4, width):
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    draw = _hasher(_INIT_B, _MULT_B)  # generate_state(4, np.uint64), as eight uint32 words
-    words = [draw(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    return np.stack([words[j] | words[j + 1] << 32 for j in range(0, 8, 2)], axis=1)
+        k = 4 * src
+        pool = _mix(pool, _hashmix(entropy.T[src], xor[k : k + 4], mul[k : k + 4]))
+    # generate_state(4, np.uint64), as eight uint32 words
+    words = _hashmix(np.concatenate((pool, pool)), *_hash_steps(_INIT_B, _MULT_B, 8))
+    words = words.astype(np.uint64)
+    return (words[0::2] | words[1::2] << 32).T
 
 
 def _permutations(gen: np.random.Generator, n: int, seed: int, key: int,
@@ -250,13 +270,15 @@ def _permutations(gen: np.random.Generator, n: int, seed: int, key: int,
     entropy[:, -1] = np.arange(first, stop)
     seeds = _pcg64_seeds(entropy).tolist()
     perms = np.tile(np.arange(n), (stop - first, 1))
+    bit_generator, shuffle = gen.bit_generator, gen.shuffle
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     for row, (s_hi, s_lo, i_hi, i_lo) in zip(perms, seeds):
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128  # pcg64_set_seed: two LCG steps from 0
-        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
-        gen.bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        gen.shuffle(row)
+        pcg["state"] = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
+        pcg["inc"] = inc
+        bit_generator.state = state
+        shuffle(row)
     return perms
 
 

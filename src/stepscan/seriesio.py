@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -32,13 +33,10 @@ _MISSING = frozenset({".", "NA", ""})
 def _infer_frequency(dates: list[dt.date]) -> int | None:
     """Periods per year from the spacing, or None for daily/irregular."""
     months = [d.year * 12 + d.month for d in dates]
-    steps = {b - a for a, b in zip(months, months[1:])}
-    if len(steps) != 1:
+    steps = set(map(operator.sub, months[1:], months[:-1]))
+    if len(steps) != 1 or len({d.day for d in dates}) != 1:
         return None
-    if not all(d.day == dates[0].day for d in dates):
-        return None
-    step = steps.pop()
-    return {12: 1, 3: 4, 1: 12}.get(step)
+    return {12: 1, 3: 4, 1: 12}.get(steps.pop())
 
 
 def read_csv(path: str) -> TimeSeries:
@@ -62,17 +60,18 @@ def read_csv(path: str) -> TimeSeries:
                 raise ParseError(f"{path}: need at least two columns, got {header}")
             value_col = 1 if date_col == 0 else 0
 
-            rows: list[tuple[dt.date, float | None]] = []
+            dates: list[dt.date] = []
+            values: list[float | None] = []
             for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
+                if not any(map(str.strip, row)):
                     continue
                 try:
-                    date = dt.date.fromisoformat(row[date_col].strip())
+                    dates.append(dt.date.fromisoformat(row[date_col].strip()))
                 except (ValueError, IndexError) as exc:
                     raise ParseError(f"{path}:{lineno}: bad date {row!r}: {exc}") from None
                 raw = row[value_col].strip() if value_col < len(row) else ""
                 if raw in _MISSING:
-                    rows.append((date, None))
+                    values.append(None)
                     continue
                 try:
                     value = float(raw)
@@ -80,34 +79,30 @@ def read_csv(path: str) -> TimeSeries:
                     value = math.nan
                 if not math.isfinite(value):  # unparseable, nan, inf or 1e999
                     raise ParseError(f"{path}:{lineno}: bad value {raw!r}")
-                rows.append((date, value))
+                values.append(value)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
     lo = 0
-    hi = len(rows)
-    while lo < hi and rows[lo][1] is None:
+    hi = len(values)
+    while lo < hi and values[lo] is None:
         lo += 1
-    while hi > lo and rows[hi - 1][1] is None:
+    while hi > lo and values[hi - 1] is None:
         hi -= 1
-    rows = rows[lo:hi]
-    if not rows:
+    dates, values = dates[lo:hi], values[lo:hi]
+    if not values:
         raise DataError(f"{path}: no usable observations")
-    gaps = [d.isoformat() for d, v in rows if v is None]
-    if gaps:
+    if None in values:
+        gaps = [d.isoformat() for d, v in zip(dates, values) if v is None]
         raise DataError(f"{path}: missing values inside the span at " + ", ".join(gaps))
-
-    dates = [d for d, _ in rows]
-    values = np.array([v for _, v in rows], dtype=float)
-    for a, b in zip(dates, dates[1:]):
-        if not a < b:
-            raise ParseError(f"{path}: dates not strictly increasing at {b.isoformat()}")
+    increasing = list(map(dt.date.__lt__, dates, dates[1:]))
+    if False in increasing:
+        at = dates[increasing.index(False) + 1]
+        raise ParseError(f"{path}: dates not strictly increasing at {at.isoformat()}")
 
     freq = _infer_frequency(dates)
-    label = header[value_col]
-    if freq is None:
-        return TimeSeries(values, DateIndex(tuple(dates)), label=label)
-    return TimeSeries(values, PeriodIndex.containing(dates[0], freq), label=label)
+    index = DateIndex(tuple(dates)) if freq is None else PeriodIndex.containing(dates[0], freq)
+    return TimeSeries(np.array(values), index, label=header[value_col])
 
 
 def write_csv(s: TimeSeries, path: str) -> None:

@@ -223,9 +223,10 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
     Each drawn interval is scanned once, over all its splits, in
     width-sorted blocks of _BLOCK_CELLS (interval, split) cells, so
     memory does not grow with n * num_intervals. A recursion step
-    reuses those results for the intervals the min_len margins of its
-    segment leave whole, and rescans only the clipped intervals and the
-    segment itself.
+    reuses those results for the intervals inside its segment whose best
+    split lies within the segment's min_len margins, and rescans only the
+    intervals whose best split the margins exclude, plus the segment
+    itself.
     """
     v = s.values
     n = s.n
@@ -252,7 +253,10 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
         if cand_lo > cand_hi:
             continue
         inside = (starts >= lo) & (ends <= hi)
-        cached = inside & (starts >= cand_lo) & (ends <= cand_hi + 1)
+        # over a split range that holds the full scan's first maximum,
+        # that maximum is the first maximum; each cell is the same float
+        # expression in either scan
+        cached = inside & (full_b >= cand_lo) & (full_b <= cand_hi)
         clipped = inside & ~cached
         # the segment itself is always a candidate; an interval of length
         # >= 2 * min_len inside [lo, hi] keeps a nonempty clipped range

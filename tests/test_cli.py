@@ -363,6 +363,14 @@ class TestCmdSynth:
         series = ss.read_csv(str(out))
         assert series.n == 30
 
+    def test_truth_file_without_breaks_is_its_header(self, tmp_path):
+        out = tmp_path / "sig.csv"
+        truth = tmp_path / "truth.csv"
+        assert main(["synth", "--means", "1", "--lengths", "50", "--out", str(out),
+                     "--truth", str(truth)]) == 0
+        assert truth.read_bytes() == b"break_index,break_date\n"
+        assert ss.read_csv(str(out)).n == 50
+
     def test_ar1_signal_fits_back(self, tmp_path):
         out = tmp_path / "ar1.csv"
         main(["synth", "--means", "0", "--lengths", "20000", "--noise", "ar1",

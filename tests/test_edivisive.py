@@ -224,7 +224,10 @@ class TestReplicateStreams:
         ranges = [(0, 3), (step - 2, step), (step, step + 2),  # both sides of a batch edge
                   (2**32 - 3, 2**32)]  # the last replicates EdivConfig admits
         gen = np.random.Generator(np.random.PCG64(0))
-        for seed in [0, 1, 2**32 - 1, 2**32, 123456789012, 2**40 + 5, 2**64 + 3]:
+        # 1 to 7 seed words, 1 or 2 key words and r: entropy rows of 3 to 10
+        # words, so the hash mixes 0 to 6 columns beyond its pool of four
+        for seed in [0, 1, 2**32 - 1, 2**32, 123456789012, 2**40 + 5, 2**64 + 3,
+                     2**96 + 1, 2**150 + 9, 2**200]:
             for key in [0, 7, 2**33]:
                 for first, stop in ranges:
                     want = np.array([np.random.default_rng([seed, key, r]).permutation(n)

@@ -90,9 +90,9 @@ def test_dp_oil_reads_rectangles_and_never_prunes(monkeypatch, wti_log_real):
 
 def test_dp_short_sweep_peak():
     # layer 2 has 7 * 96 = 672 starts, so no layer prunes and the lowest
-    # block reads the widest rectangle, 96 starts by 576 candidates; with
-    # _span_rss's temporaries the sweep holds under 8 arrays of its size
-    # beyond the cost table
+    # block builds the widest rectangle, 96 starts by 672 candidates (its
+    # 96 new ones and the 576 after them); with _span_rss's temporaries the
+    # sweep holds under 6 arrays of its size beyond the cost table
     tri = ss.build_rss_triangle(annual(np.random.default_rng(0).standard_normal(691)), 10)
     tri.series.cumulants
     tracemalloc.start()
@@ -101,7 +101,7 @@ def test_dp_short_sweep_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= D.nbytes + 8 * (8 * 96 * 576)
+    assert peak <= D.nbytes + 8 * (6 * 96 * 672)
 
 
 @pytest.mark.parametrize("s,layer_peaks", [
@@ -132,12 +132,14 @@ def test_dp_peak_live_set(monkeypatch, s, layer_peaks):
 
 
 @pytest.mark.parametrize("s,breaks,full_scan,rescans", [
-    (ss.read_csv(str(FIXTURES / "nile.csv")), (28, 45), 166_355, 18_456),
-    (six_steps(1200, sigma=0.0), (200, 400, 600, 800, 1000), 1_987_029, 26_827),
+    (ss.read_csv(str(FIXTURES / "nile.csv")), (28, 45), 166_355, 257),
+    (six_steps(1200, sigma=0.0), (200, 400, 600, 800, 1000), 1_987_029, 6_673),
 ], ids=["nile", "noiseless six steps"])
 def test_wbs_cells(monkeypatch, s, breaks, full_scan, rescans):
     # default WbsConfig; cells are (interval, split) pairs, the first call's
-    # from the full scan and the later calls' from the recursion's rescans
+    # from the full scan and the later calls' from the recursion's rescans:
+    # each segment and the intervals whose best split its margins exclude
+    # (on Nile only the segments)
     cells = []
     inner = wbs._best_per_interval
 
@@ -161,10 +163,10 @@ def wbs_long_jobs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("job_id,breaks,full_scan,rescans", [
-    ("wbs-2000", (333, 666, 999, 1331, 1665), 3_389_648, 26_847),
-    ("wbs-5000", (833, 1666, 2499, 3333, 4165), 8_376_767, 45_498),
-    ("wbs-10000", (1666, 3333, 4998, 6664, 8331), 16_820_087, 57_600),
-])
+    ("wbs-2000", (333, 666, 999, 1331, 1665), 3_389_648, 7_632),
+    ("wbs-5000", (833, 1666, 2499, 3333, 4165), 8_376_767, 19_963),
+    ("wbs-10000", (1666, 3333, 4998, 6664, 8331), 16_820_087, 39_962),
+], ids=["wbs-2000", "wbs-5000", "wbs-10000"])
 def test_wbs_long_cells_and_peak(monkeypatch, wbs_long_jobs, job_id, breaks, full_scan,
                                  rescans):
     # 5,000 intervals; cells are counted as in test_wbs_cells, over 11
