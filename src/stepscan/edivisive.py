@@ -211,13 +211,6 @@ def _hash_steps(hc: int, mult: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return col[:-1], col[1:]
 
 
-# The hash words of rows of up to four entropy words and of the output draw,
-# made at import so that these long-lived arrays are not allocated among the
-# first permutation test's temporaries.
-_hash_steps(_INIT_A, _MULT_A, 16)
-_hash_steps(_INIT_B, _MULT_B, 8)
-
-
 def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     """SeedSequence's hashmix: xor with the running constant, multiply by its next value, fold."""
     value = value ^ xor
