@@ -291,7 +291,7 @@ def cmd_compare(args) -> None:
         if m in methods[:i]:
             raise UnsupportedError(f"method {m!r} listed twice")
     series, input_block = _load(args)
-    # every method's settings are checked before any method runs
+    # config fields and the dp plan are checked up front; wbs and edivisive check n when they run
     plans = {m: _configure(series, m, args) for m in methods}
     segs = {m: plans[m][0]() for m in methods}
 

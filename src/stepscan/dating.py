@@ -109,16 +109,17 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     laid down from layer 2's last start n - 2h + 1. A block builds
     once (_Block) the span RSS from its starts to its new candidates
     c = a + h and on to the first short layer's last candidate, +inf
-    where c < a + h, and the pair means of its new candidates; then the
-    layers step through it in ascending j, as layer j reads D[j - 1]
-    inside the block when h < _BLOCK_STARTS. The block holding layer j's
-    last start n - jh + 1 is its first, and it uses the block's head up
-    to that start. Each layer evaluates the new candidates at every
-    start. A short layer, one whose n - jh + 1 starts fit in
-    _SHORT_BLOCKS blocks, evaluates every later candidate in the same
-    step, from a prefix of the rectangle's columns. The choice depends
-    only on n, h and j, so a layer keeps it for its whole sweep.
-    Any other layer evaluates the previous block's best candidate at
+    where c < a + h, and, if a layer prunes, the pair means of its new
+    candidates; then the layers step through it in ascending j, as
+    layer j reads D[j - 1] inside the block when h < _BLOCK_STARTS. The
+    block holding layer j's last start n - jh + 1 is its first, and it
+    uses the block's head up to that start. A short layer, one whose
+    n - jh + 1 starts fit in _SHORT_BLOCKS blocks, is the sweep's dense
+    step (None in layers): it evaluates every candidate at every start,
+    from a prefix of the rectangle's columns. The choice depends only on
+    n, h and j; layer 2 has the most starts, so the pruning plan (_Plan)
+    is built only if it prunes. A pruning layer (_Layer) evaluates the
+    new candidates and the previous block's best candidate at
     every start; the largest of the resulting per-start minima, U,
     bounds every cell of the block from above. Then it evaluates the
     live candidates with D[j - 1, c] < U: span RSS values are >= 0, so
@@ -171,10 +172,11 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     D[1, 1 : n - h + 2] = _span_rss(s, np.arange(1, n - h + 2), n)
     if jmax < 2:
         return D
-    plan = _Plan.build(s, h)
-    layers = [_Layer(n - j * h + 1 <= _SHORT_BLOCKS * _BLOCK_STARTS) for j in range(2, jmax + 1)]
+    layers = [_Layer() if n - j * h + 1 > _SHORT_BLOCKS * _BLOCK_STARTS else None
+              for j in range(2, jmax + 1)]
+    plan = _Plan.build(s, h) if layers[0] is not None else None
     # the first short layer's candidates end at layer j - 1's last start
-    last = next((n - (j - 1) * h + 1 for j, layer in enumerate(layers, start=2) if layer.short), 0)
+    last = n - (layers.index(None) + 1) * h + 1 if None in layers else 0
     a_hi = n - 2 * h + 1
     while a_hi >= 1:
         a_lo = max(1, a_hi - _BLOCK_STARTS + 1)
@@ -184,7 +186,11 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
             k = min(blk.nb, swept)
             if k < 1:
                 break
-            layer.step(s, blk, k, swept - k, D[j - 1], D[j], plan)
+            if layer is not None:
+                layer.step(s, blk, k, swept - k, D[j - 1], D[j], plan)
+            else:  # every candidate from c = a_lo + h on, +inf past D[j - 1]'s last start
+                c, w = a_lo + h, swept - k + blk.nb
+                D[j, a_lo : a_lo + k] = (blk.rss[:k, :w] + D[j - 1, c : c + w]).min(axis=1)
         a_hi = a_lo - 1
     return D
 
@@ -232,12 +238,12 @@ class _Block:
 
     The new candidates c = a + h; rss, the span RSS from every start to
     every candidate c = a_lo + h + t (column t) out to the first short
-    layer's last candidate, last, and +inf where c < a + h; and, per
-    pair of new candidates c' < c (rows c'), the mean m of y[c'..c-1]
-    and m times its sum.
+    layer's last candidate, last, and +inf where c < a + h; and, only
+    with a pruning plan, per pair of new candidates c' < c (rows c'), the
+    mean m of y[c'..c-1] and m times its sum.
     """
 
-    def __init__(self, s: TimeSeries, h: int, a_lo: int, a_hi: int, plan: _Plan, last: int):
+    def __init__(self, s: TimeSeries, h: int, a_lo: int, a_hi: int, plan: _Plan | None, last: int):
         nb = a_hi - a_lo + 1
         self.a_lo, self.nb = a_lo, nb
         self.starts = np.arange(a_lo, a_hi + 1)
@@ -246,20 +252,19 @@ class _Block:
         with np.errstate(divide="ignore", invalid="ignore"):  # spans of length <= 0 when h < nb
             self.rss = _span_rss(s, self.starts[:, None], ends)
         np.copyto(self.rss[:, :nb], np.inf, where=np.tri(nb, k=-1, dtype=bool))
-        cc = s.cumulants[0][self.new - 1]
-        self.sdm = cc - cc[:, None]
-        self.m = self.sdm * plan.inv_gap[:nb, :nb]
-        self.sdm *= self.m
+        if plan is not None:
+            cc = s.cumulants[0][self.new - 1]
+            self.sdm = cc - cc[:, None]
+            self.m = self.sdm * plan.inv_gap[:nb, :nb]
+            self.sdm *= self.m
 
 
 class _Layer:
-    """One layer's sweep state, carried from block to block: the live
-    candidates, their mean intervals [lo; hi], and the probe (the best
-    candidate at the last block's smallest start). A short layer keeps
-    none of it: it reads every candidate."""
+    """One pruning layer's sweep state, carried from block to block: the
+    live candidates, their mean intervals [lo; hi], and the probe (the
+    best candidate at the last block's smallest start)."""
 
-    def __init__(self, short: bool):
-        self.short = short
+    def __init__(self):
         self.live = np.empty(0, dtype=np.intp)
         self.ends = np.empty((2, 0))
         self.probe = None
@@ -269,14 +274,8 @@ class _Layer:
         """Fill out at the block's first k starts from prev, with before starts in earlier blocks."""
         cum, cumsq = s.cumulants
         starts, new = blk.starts[:k], blk.new[:k]
-        # the new candidates (+inf past prev's last start) and, on a short
-        # layer, the before candidates after them, all at once
-        w = blk.nb + before if self.short else blk.nb
-        vals = blk.rss[:k, :w] + prev[new[0] : new[0] + w]
+        vals = blk.rss[:k, :blk.nb] + prev[new[0] : new[0] + blk.nb]  # +inf past prev's last start
         best = vals.min(axis=1)
-        if self.short:
-            out[blk.a_lo : blk.a_lo + k] = best
-            return
         i = int(np.argmin(vals[0, :k]))  # the next probe: best candidate at a_lo
         nxt, at_lo = new[i], vals[0, i]
         del vals  # block-sized temporaries are freed once used

@@ -262,8 +262,8 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
         # >= 2 * min_len inside [lo, hi] keeps a nonempty clipped range
         seg_s = np.append(starts[clipped], lo)
         seg_e = np.append(ends[clipped], hi)
-        seg = np.array([seg_s, seg_e, np.maximum(seg_s, cand_lo), np.minimum(seg_e - 1, cand_hi)])
-        bs, stats = _best_per_interval(cum, *seg[:, np.argsort(seg[3] - seg[2], kind="stable")])
+        bs, stats = _best_per_interval(cum, seg_s, seg_e, np.maximum(seg_s, cand_lo),
+                                       np.minimum(seg_e - 1, cand_hi))
         bs = np.concatenate((full_b[cached], bs))
         stats = np.concatenate((full_stat[cached], stats))
         # largest statistic; ties go to the smallest b

@@ -61,14 +61,29 @@ def test_dp_span_rss_values(monkeypatch, s, span_rss_values):
     assert count == span_rss_values
 
 
+def counting_plans(monkeypatch):
+    """A list that gains one entry per dating._Plan.build call."""
+    calls = []
+    build = dating._Plan.build
+
+    def building(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(dating._Plan, "build", staticmethod(building))
+    return calls
+
+
 def test_dp_oil_reads_rectangles_and_never_prunes(monkeypatch, wti_log_real):
     # the fixtures chain (n = 267), min_len 10, up to 15 breaks: layer 2
     # has 248 starts, so every layer fits in 7 blocks and reads every
     # candidate; the count includes the backtrack's rows. Its 248 starts
     # are 2 blocks of 96 and one of 56, whose rectangles hold
-    # 2 * 4,560 + 1,540 = 10,660 cells below their diagonals: 31,738 + 10,660
+    # 2 * 4,560 + 1,540 = 10,660 cells below their diagonals: 31,738 + 10,660;
+    # with no pruning layer, no pruning plan is built
     cells, pruned = 0, 0
     inner, prune = dating._span_rss, dating._prune
+    plans = counting_plans(monkeypatch)
 
     def counting(s, i, j):
         nonlocal cells
@@ -85,7 +100,7 @@ def test_dp_oil_reads_rectangles_and_never_prunes(monkeypatch, wti_log_real):
     monkeypatch.setattr(dating, "_prune", pruning)
     seg = ss.select_breaks_bic(ss.build_rss_triangle(wti_log_real, 10), 15)
     assert seg.breaks == (60, 108, 131, 144, 156, 185, 201, 211, 230, 242)
-    assert (cells, pruned) == (42_398, 0)
+    assert (cells, pruned, len(plans)) == (42_398, 0, 0)
 
 
 def test_dp_short_sweep_peak():
@@ -127,8 +142,10 @@ def test_dp_peak_live_set(monkeypatch, s, layer_peaks):
         peaks[self] = max(peaks.get(self, 0), self.live.size)
 
     monkeypatch.setattr(dating._Layer, "step", recording)
+    plans = counting_plans(monkeypatch)
     dating._suffix_costs(ss.build_rss_triangle(s, 100), 9)
     assert list(peaks.values()) == layer_peaks
+    assert len(plans) == 1
 
 
 @pytest.mark.parametrize("s,breaks,full_scan,rescans", [
