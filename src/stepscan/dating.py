@@ -7,17 +7,18 @@ segments of at least min_len observations is found by a Bellman
 recursion over per-segment RSS values; the number of breaks is chosen
 by the Bayesian Information Criterion.
 
-The recursion sweeps the start points right to left in blocks of
-_BLOCK_STARTS, stepping every layer through a block before the next;
-every layer reads one span-RSS rectangle per block. A layer with more
-than _SHORT_BLOCKS blocks of starts reads only the block's new
-candidates there and evaluates only the later ones that can still win:
-a candidate is dropped once, as a function of the segment mean,
-another candidate is below it everywhere by more than a rounding margin
+The recursion fills only the cells that BIC and the backtrack read,
+sweeping their start points right to left in blocks of _BLOCK_STARTS
+and stepping every layer through a block before the next; every layer
+reads one span-RSS rectangle per block. A layer with more than
+_SHORT_BLOCKS blocks of starts reads only the block's new candidates
+there and evaluates only the later ones that can still win: a
+candidate is dropped once, as a function of the segment mean, another
+candidate is below it everywhere by more than a rounding margin
 (functional pruning, as in pDPA and FPOP). A shorter layer, where
 pruning costs more than it saves, reads every candidate from the
-rectangle. The cost table stays bit-identical to evaluating every
-split.
+rectangle. The cost table is bit-identical to evaluating every split
+at every cell read.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ def _most_breaks(n: int, min_len: int) -> int:
 
 
 def _check_dp(n: int, min_len: int, max_breaks: int) -> None:
-    """Raise before allocating unless min_len, max_breaks and the cost table fit n."""
+    """Raise before allocating unless min_len, max_breaks and the cost table that
+    select_breaks_bic and optimal_breaks allocate fit n."""
     if not 1 <= min_len <= n:
         raise ValueError(f"min_len must be in 1..{n}, got {min_len}")
     if max_breaks < 0:
@@ -102,11 +104,16 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     minimum of fl(_span_rss(s, a, c - 1) + D[j - 1, c]) over the next
     starts c >= a + h. The dense loop evaluates every c; this one
     evaluates a superset of every float argmin with the same expression,
-    so D is bit-identical to it (tests/test_dating.py keeps the dense
-    loop as the reference).
+    so D is bit-identical to it at every cell filled (tests/test_dating.py
+    keeps the dense loop as the reference). Filled are D[j, 1] for every
+    j and, below the top layer, D[j, a] for a > h; the rest stay +inf.
+    BIC reads every layer at a = 1, and the backtrack and the recursion
+    read D[j - 1] only at c >= a + h > h. Layers 2..jmax - 1 are swept;
+    one row of span RSS from start 1 then gives every D[j, 1], +inf past
+    D[j - 1]'s last start.
 
     Order. The starts sweep right to left in blocks of _BLOCK_STARTS,
-    laid down from layer 2's last start n - 2h + 1. A block builds
+    laid down from layer 2's last start n - 2h + 1 to h + 1. A block builds
     once (_Block) the span RSS from its starts to its new candidates
     c = a + h and on to the first short layer's last candidate, +inf
     where c < a + h, and, if a layer prunes, the pair means of its new
@@ -169,17 +176,16 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     """
     s, n, h = tri.series, tri.n, tri.min_len
     D = np.full((jmax + 1, n + 2), np.inf)
-    D[1, 1 : n - h + 2] = _span_rss(s, np.arange(1, n - h + 2), n)
-    if jmax < 2:
-        return D
+    if jmax > 1:
+        D[1, h + 1 : n - h + 2] = _span_rss(s, np.arange(h + 1, n - h + 2), n)
     layers = [_Layer() if n - j * h + 1 > _SHORT_BLOCKS * _BLOCK_STARTS else None
-              for j in range(2, jmax + 1)]
-    plan = _Plan.build(s, h) if layers[0] is not None else None
+              for j in range(2, jmax)]
+    plan = _Plan.build(s, h) if layers and layers[0] is not None else None
     # the first short layer's candidates end at layer j - 1's last start
     last = n - (layers.index(None) + 1) * h + 1 if None in layers else 0
-    a_hi = n - 2 * h + 1
-    while a_hi >= 1:
-        a_lo = max(1, a_hi - _BLOCK_STARTS + 1)
+    a_hi = n - 2 * h + 1 if layers else h
+    while a_hi > h:
+        a_lo = max(h + 1, a_hi - _BLOCK_STARTS + 1)
         blk = _Block(s, h, a_lo, a_hi, plan, last)
         for j, layer in enumerate(layers, start=2):
             swept = n - j * h + 2 - a_lo  # layer j's starts a_lo..n - j h + 1
@@ -192,6 +198,10 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
                 c, w = a_lo + h, swept - k + blk.nb
                 D[j, a_lo : a_lo + k] = (blk.rss[:k, :w] + D[j - 1, c : c + w]).min(axis=1)
         a_hi = a_lo - 1
+    row = _span_rss(s, 1, np.arange(h, n + 1))  # [1..c-1] for c = h + 1..n + 1
+    D[1, 1] = row[-1]
+    for j in range(2, jmax + 1):  # +inf past D[j - 1]'s last start
+        D[j, 1] = (row + D[j - 1, h + 1 :]).min()
     return D
 
 
@@ -246,6 +256,7 @@ class _Block:
     def __init__(self, s: TimeSeries, h: int, a_lo: int, a_hi: int, plan: _Plan | None, last: int):
         nb = a_hi - a_lo + 1
         self.a_lo, self.nb = a_lo, nb
+        self.lowest = a_lo == h + 1  # the sweep's last block: no block to prune for
         self.starts = np.arange(a_lo, a_hi + 1)
         self.new = self.starts + h
         ends = np.arange(a_lo + h - 1, max(a_hi + h, last))
@@ -298,7 +309,7 @@ class _Layer:
             del vals
         out[blk.a_lo : blk.a_lo + k] = best
         self.probe = nxt
-        if blk.a_lo == 1:
+        if blk.lowest:
             return
         if before >= 4 * _BLOCK_STARTS and 2 * self.live.size > before:
             self.live = np.concatenate((new, self.live))
@@ -412,7 +423,7 @@ def optimal_breaks(tri: RssTriangle, m: int) -> Segmentation:
     smallest break vector.
     """
     _check_dp(tri.n, tri.min_len, m)
-    breaks = _reconstruct(tri, _suffix_costs(tri, max(m, 1)), m)
+    breaks = _reconstruct(tri, _suffix_costs(tri, m + 1), m)
     return segmentation_from_breaks(tri.series, breaks, min_len=tri.min_len)
 
 

@@ -137,14 +137,15 @@ class TestOptimalBreaks:
 
     @pytest.mark.parametrize("m", [0, 1, 3])
     def test_sweeps_only_the_layers_the_backtrack_reads(self, m):
-        # the backtrack reads D[1..m]; m = 0 still needs a table with row 1
+        # the backtrack reads D[1..m] past start h, which only layers
+        # below the top one fill; m = 0 reads nothing but needs row 1
         tri = ss.build_rss_triangle(annual(np.random.default_rng(5).normal(size=40)), 3)
         with mock.patch.object(dating, "_suffix_costs", wraps=dating._suffix_costs) as spy:
             seg = ss.optimal_breaks(tri, m)
-        assert spy.call_args.args[1] == max(m, 1)
+        assert spy.call_args.args[1] == m + 1
         assert len(seg.breaks) == m
         rows = slice(1, m + 1)
-        assert np.array_equal(_suffix_costs(tri, max(m, 1))[rows], _suffix_costs(tri, m + 1)[rows])
+        assert np.array_equal(_suffix_costs(tri, m + 1)[rows], _suffix_costs(tri, m + 2)[rows])
 
     def test_matches_brute_force_small(self):
         rng = np.random.default_rng(4)
@@ -201,7 +202,10 @@ class TestOptimalBreaks:
 def layer_outer_suffix_costs(tri, jmax):
     """Reference Bellman table: layer j outside, start a inside.
 
-    Each (j, a) cell recomputes its RSS row from the cumulants.
+    Each (j, a) cell recomputes its RSS row from the cumulants. Every
+    layer is computed in full; then the cells that _suffix_costs leaves
+    +inf, because neither BIC nor the backtrack reads them, are blanked:
+    starts 2..h of every layer and every start but 1 of the top layer.
     """
     s, n, h = tri.series, tri.n, tri.min_len
     D = np.full((jmax + 1, n + 2), np.inf)
@@ -212,6 +216,8 @@ def layer_outer_suffix_costs(tri, jmax):
             b_lo = a + h - 1
             vals = _span_rss(s, a, np.arange(b_lo, b_hi + 1)) + D[j - 1, b_lo + 1 : b_hi + 2]
             D[j, a] = vals.min()
+    D[1:, 2 : h + 1] = np.inf
+    D[jmax, 2:] = np.inf
     return D
 
 
@@ -267,7 +273,7 @@ class TestPrunedSuffixCosts:
         starts = data.draw(st.sampled_from([1, 3, 64]))
         with mock.patch.object(dating, "_BLOCK_STARTS", starts):
             # a pruning layer calls _prune in every block but the lowest
-            assert_each_path_is_dense(tri, jmax, jmax >= 2 and n - 2 * h + 1 > starts)
+            assert_each_path_is_dense(tri, jmax, jmax >= 3 and n - 3 * h + 1 > starts)
 
     @pytest.mark.parametrize("n, h", [(300, 10), (600, 30), (1000, 100)])
     @pytest.mark.parametrize("offset", [1e5, 1e6, 3e6])
@@ -313,6 +319,86 @@ class TestPrunedSuffixCosts:
         tri = ss.build_rss_triangle(annual(np.arange(12000.0)), 1)
         with pytest.raises(ss.DataError, match="--max-breaks"):
             ss.select_breaks_bic(tri, 11999)
+
+
+class TestReadCellsOnly:
+    """_suffix_costs fills D[j, 1] for every layer and the starts above h
+    below the top layer, the only cells BIC and the backtrack read."""
+
+    @pytest.mark.parametrize("s, h, jmax", [
+        (six_regimes(2000, 0), 100, 9),  # layers 2..8 prune
+        (six_regimes(600, 1), 30, 12),   # every layer is short
+        (six_regimes(90, 2), 7, 12),
+    ], ids=["pruning", "short", "short h < 8"])
+    def test_dead_cells_stay_inf(self, s, h, jmax):
+        tri = ss.build_rss_triangle(s, h)
+        n = tri.n
+        D = _suffix_costs(tri, jmax)
+        assert np.isinf(D[1:, 2 : h + 1]).all() and np.isinf(D[jmax, 2:]).all()
+        assert np.isfinite(D[1:, 1]).all()
+        for j in range(1, jmax):  # every start above h up to layer j's last
+            assert np.isfinite(D[j, h + 1 : n - j * h + 2]).all()
+            assert np.isinf(D[j, n - j * h + 2 :]).all()
+
+    @pytest.mark.parametrize("blocks", [None, 0], ids=["default", "every layer prunes"])
+    def test_never_reads_a_span_from_starts_2_to_h(self, monkeypatch, blocks):
+        tri = ss.build_rss_triangle(six_regimes(600, 0), 30)
+        starts = []
+        inner = dating._span_rss
+
+        def recording(s, i, j):
+            starts.extend(np.unique(i).tolist())
+            return inner(s, i, j)
+
+        monkeypatch.setattr(dating, "_span_rss", recording)
+        if blocks is not None:
+            monkeypatch.setattr(dating, "_SHORT_BLOCKS", blocks)
+        _suffix_costs(tri, 9)
+        counts = np.bincount(starts, minlength=tri.n + 1)
+        assert counts[1] == 1  # the row that fills every layer's start 1
+        assert not counts[2:31].any()
+        assert counts[31:542].all()  # layer 2 sweeps 31..541
+
+    @pytest.mark.parametrize("jmax", [1, 2, 3, 9])
+    def test_the_top_layer_is_never_stepped(self, monkeypatch, jmax):
+        stepped = set()
+        inner = dating._Layer.step
+
+        def recording(self, s, blk, k, before, prev, out, plan):
+            stepped.add((out.ctypes.data - out.base.ctypes.data) // out.base.strides[0])
+            inner(self, s, blk, k, before, prev, out, plan)
+
+        monkeypatch.setattr(dating._Layer, "step", recording)
+        monkeypatch.setattr(dating, "_SHORT_BLOCKS", 0)
+        _suffix_costs(ss.build_rss_triangle(six_regimes(600, 0), 30), jmax)
+        assert stepped == set(range(2, jmax))
+
+    @pytest.mark.parametrize("n, h, max_m, starts", [
+        (14, 5, 1, None),  # an empty sweep: layer 2's last start n - 2h + 1 <= h
+        (15, 5, 2, None),  # layer 2 sweeps one start, h + 1
+        (12, 4, 1, None),  # jmax = 2: no layer is swept
+        (13, 1, 6, None),
+        (19, 2, 5, 1),
+        (19, 2, 5, 3),
+        (19, 2, 5, 64),
+    ])
+    def test_bic_and_optimal_breaks_equal_exhaustive_search(self, n, h, max_m, starts):
+        v = np.round(np.random.default_rng(n + h).normal(0, 2, n), 1)
+        s = annual(v)
+        exact = [brute_force_breaks(v, m, h, rss=lambda i, j: float(_span_rss(s, i, j)))
+                 for m in range(max_m + 1)]
+        bic = [bic_value(n, total, m) for m, (total, _) in enumerate(exact)]
+        best = min(range(max_m + 1), key=lambda m: (bic[m], m))
+        for blocks in (dating._SHORT_BLOCKS, 0):  # short layers, then pruning ones
+            with mock.patch.object(dating, "_SHORT_BLOCKS", blocks), \
+                    mock.patch.object(dating, "_BLOCK_STARTS", starts or dating._BLOCK_STARTS):
+                tri = ss.build_rss_triangle(s, h)
+                seg = ss.select_breaks_bic(tri, max_m)
+                assert [b for _, b in seg.criterion_trace] == bic
+                assert seg.breaks == exact[best][1]
+                for m, (total, breaks) in enumerate(exact):
+                    seg = ss.optimal_breaks(tri, m)
+                    assert (seg.rss_total, seg.breaks) == (total, breaks)
 
 
 class TestBicSelection:

@@ -33,19 +33,21 @@ def six_steps(n, offset=0.0, **kw):
 
 
 @pytest.mark.parametrize("s,span_rss_values", [
-    (annual(np.full(2000, 3.0)), 184_070),
-    (six_steps(2000, sigma=0.0), 684_208),
-    (six_steps(2000, offset=1e6), 2_694_923),
-    (annual(np.cumsum(np.random.default_rng(0).standard_normal(2000))), 508_143),
-    (annual(np.round(0.4 * np.random.default_rng(0).standard_normal(2000) + 10)), 295_803),
+    (annual(np.full(2000, 3.0)), 174_354),
+    (six_steps(2000, sigma=0.0), 610_083),
+    (six_steps(2000, offset=1e6), 2_352_900),
+    (annual(np.cumsum(np.random.default_rng(0).standard_normal(2000))), 451_455),
+    (annual(np.round(0.4 * np.random.default_rng(0).standard_normal(2000) + 10)), 267_072),
 ], ids=["constant", "noiseless six steps", "six regimes at +1e6", "random walk", "rounded noise"])
 def test_dp_span_rss_values(monkeypatch, s, span_rss_values):
-    # n = 2000, min_len 100, layers up to 9 breaks. Each block of nb starts
-    # builds a full rectangle, nb (nb - 1) / 2 cells below its diagonal
-    # (masked to +inf) more than its triangle of new candidates: layer 2's
-    # 1,801 starts are 18 blocks of 96 and one of 73, so each count is
-    # 18 * 4,560 + 2,628 = 84,708 above the triangle-only count
-    # (99,362 / 599,500 / 2,610,215 / 423,435 / 211,095)
+    # n = 2000, min_len 100, layers up to 9. Layers 2..8 sweep their
+    # starts above 100; layer 9 and every layer's start 1 come from one
+    # row of 1,901 values. Each block of nb starts builds a full
+    # rectangle, nb (nb - 1) / 2 cells below its diagonal (masked to +inf)
+    # more than its triangle of new candidates: layer 2's 1,701 swept
+    # starts (101..1801) are 17 blocks of 96 and one of 69, so each count
+    # is 17 * 4,560 + 2,346 = 79,866 above the triangle-only count
+    # (94,488 / 530,217 / 2,273,034 / 371,589 / 187,206)
     tri = ss.build_rss_triangle(s, 100)
     count = 0
     inner = dating._span_rss
@@ -77,10 +79,11 @@ def counting_plans(monkeypatch):
 def test_dp_oil_reads_rectangles_and_never_prunes(monkeypatch, wti_log_real):
     # the fixtures chain (n = 267), min_len 10, up to 15 breaks: layer 2
     # has 248 starts, so every layer fits in 7 blocks and reads every
-    # candidate; the count includes the backtrack's rows. Its 248 starts
-    # are 2 blocks of 96 and one of 56, whose rectangles hold
-    # 2 * 4,560 + 1,540 = 10,660 cells below their diagonals: 31,738 + 10,660;
-    # with no pruning layer, no pruning plan is built
+    # candidate; the count includes the backtrack's rows. It sweeps its
+    # 238 starts above 10 (11..248), 2 blocks of 96 and one of 46, whose
+    # rectangles hold 2 * 4,560 + 1,035 = 10,155 cells below their
+    # diagonals: 29,551 + 10,155; with no pruning layer, no pruning plan
+    # is built
     cells, pruned = 0, 0
     inner, prune = dating._span_rss, dating._prune
     plans = counting_plans(monkeypatch)
@@ -100,14 +103,15 @@ def test_dp_oil_reads_rectangles_and_never_prunes(monkeypatch, wti_log_real):
     monkeypatch.setattr(dating, "_prune", pruning)
     seg = ss.select_breaks_bic(ss.build_rss_triangle(wti_log_real, 10), 15)
     assert seg.breaks == (60, 108, 131, 144, 156, 185, 201, 211, 230, 242)
-    assert (cells, pruned, len(plans)) == (42_398, 0, 0)
+    assert (cells, pruned, len(plans)) == (39_706, 0, 0)
 
 
 def test_dp_short_sweep_peak():
-    # layer 2 has 7 * 96 = 672 starts, so no layer prunes and the lowest
-    # block builds the widest rectangle, 96 starts by 672 candidates (its
-    # 96 new ones and the 576 after them); with _span_rss's temporaries the
-    # sweep holds under 6 arrays of its size beyond the cost table
+    # layer 2 has 7 * 96 = 672 starts, so no layer prunes; it sweeps the
+    # 662 above 10, and the lowest block builds the widest rectangle, 86
+    # starts by 662 candidates (its 86 new ones and the 576 after them);
+    # with _span_rss's temporaries the sweep holds under 6 arrays of
+    # 96 by 672 beyond the cost table
     tri = ss.build_rss_triangle(annual(np.random.default_rng(0).standard_normal(691)), 10)
     tri.series.cumulants
     tracemalloc.start()
@@ -120,20 +124,21 @@ def test_dp_short_sweep_peak():
 
 
 @pytest.mark.parametrize("s,layer_peaks", [
-    (annual(np.full(2000, 3.0)), [1728, 1628, 1528, 1428, 1328, 1228, 1128, 1028]),
-    (six_steps(2000, sigma=0.0), [192, 147, 198, 197, 204, 204, 204, 204]),
-    (six_steps(2000, offset=1e6), [1728, 1628, 1528, 1428, 1328, 1228, 1128, 1028]),
+    (annual(np.full(2000, 3.0)), [1632, 1532, 1432, 1332, 1232, 1132, 1032]),
+    (six_steps(2000, sigma=0.0), [192, 147, 198, 197, 204, 204, 204]),
+    (six_steps(2000, offset=1e6), [1632, 1532, 1432, 1332, 1232, 1132, 1032]),
     (annual(np.cumsum(np.random.default_rng(0).standard_normal(2000))),
-     [101, 56, 54, 48, 40, 34, 38, 28]),
+     [101, 56, 51, 47, 40, 34, 38]),
     (annual(np.round(0.4 * np.random.default_rng(0).standard_normal(2000) + 10)),
-     [15, 17, 14, 15, 15, 12, 14, 14]),
-    (six_steps(2000), [43, 23, 11, 13, 11, 9, 9, 9]),
+     [15, 17, 14, 15, 14, 12, 14]),
+    (six_steps(2000), [38, 20, 10, 13, 11, 9, 9]),
 ], ids=["constant", "noiseless six steps", "six regimes at +1e6", "random walk",
         "rounded noise", "six regimes"])
 def test_dp_peak_live_set(monkeypatch, s, layer_peaks):
     # n = 2000, min_len 100; the largest live set that each of layers
-    # 2..9 carries after a block (the constant and +1e6 inputs reach
-    # theirs through the stop rule)
+    # 2..8 carries after a block (the top layer, 9, is never stepped; the
+    # constant and +1e6 inputs reach theirs through the stop rule: every
+    # start but the lowest block's, 1,701 - 69 = 1,632 on layer 2)
     peaks = {}
     inner = dating._Layer.step
 
