@@ -10,6 +10,9 @@ which plain binary segmentation can miss.
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +87,8 @@ _INTERVAL_BYTES = 72
 # Ufunc buffer during the scan (numpy's default is 8192 elements): numpy
 # reads a per-row column in place only when a row is at least this long.
 _UFUNC_BUFFER = 1024
+# Cells per process of a split scan; a fork and reap cost as much as 0.3 M cells.
+_FORK_CELLS = 1 << 21
 
 
 def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -100,11 +105,24 @@ def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     fastest sorted by split-range width. A narrower row repeats its last
     split in the padding past the block's narrowest row, which never wins
     the first maximum. A row wider than a block is scanned in column
-    chunks, a later chunk winning only if strictly larger.
+    chunks, a later chunk winning only if strictly larger. On Linux with
+    no other Python thread, a scan of k * _FORK_CELLS cells or more runs
+    in k forked processes (at most one per usable CPU); process p scans
+    runs p, p + k, ... into shared pages, so every row holds the same bits
+    as in one process. A failed child raises ChildProcessError.
     """
     widths = his - los + 1
-    best_b = np.empty(starts.size, dtype=int)
-    best_stat = np.empty(starts.size)
+    procs = 1
+    if sys.platform == "linux" and hasattr(os, "fork") and threading.active_count() == 1:
+        procs = max(1, min(len(os.sched_getaffinity(0)), int(widths.sum()) // _FORK_CELLS))
+    if procs > 1:  # each row is written by one process, into shared pages
+        import mmap  # here, so that a run that never splits does not load it
+        shared = mmap.mmap(-1, 16 * starts.size)
+        best_b = np.ndarray(starts.size, int, shared)
+        best_stat = np.ndarray(starts.size, float, shared, best_b.nbytes)
+    else:
+        best_b = np.empty(starts.size, dtype=int)
+        best_stat = np.empty(starts.size)
     widest = int(widths.max(initial=0))
     cells = min(_BLOCK_CELLS, widest * widths.size)  # no block is larger
     width = min(cells, widest)  # nor wider
@@ -114,9 +132,9 @@ def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     bufs = [np.empty(cells, dtype=t) for t in (bool, float, float, float)]
     consts = np.empty((6, _RUN_ROWS))
     ticks = np.arange(_RUN_ROWS + 1)
-    bufsize = np.setbufsize(_UFUNC_BUFFER)
-    try:
-        for r0 in range(0, widths.size, _RUN_ROWS):
+
+    def scan(share: int) -> None:  # runs share, share + procs, ...
+        for r0 in range(share * _RUN_ROWS, widths.size, procs * _RUN_ROWS):
             run = slice(r0, r0 + _RUN_ROWS)
             ix = np.array([los[run], ends[run], his[run], starts[run] - 1])
             m = ix.shape[1]
@@ -173,8 +191,33 @@ def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
                         np.copyto(best_stat[i:j], stat, where=better)
                         np.copyto(best_b[i:j], lo + c0 + arg, where=better)
                 a = b
+    bufsize = np.setbufsize(_UFUNC_BUFFER)
+    pids: list[int] = []
+    try:
+        for share in range(1, procs):
+            try:
+                pid = os.fork()
+            except OSError:  # the parent scans the shares left over
+                break
+            if pid == 0:  # never return into the caller's code
+                code = 1
+                try:
+                    scan(share)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        for share in (0, *range(len(pids) + 1, procs)):
+            scan(share)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL
+        raise
     finally:
         np.setbufsize(bufsize)
+        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+    if failed:
+        raise ChildProcessError(f"{failed} of {len(pids)} WBS scan processes failed")
     return best_b, best_stat
 
 
@@ -226,7 +269,8 @@ def wbs_segment(s: TimeSeries, cfg: WbsConfig = WbsConfig()) -> Segmentation:
     reuses those results for the intervals inside its segment whose best
     split lies within the segment's min_len margins, and rescans only the
     intervals whose best split the margins exclude, plus the segment
-    itself.
+    itself. A full scan of at least 2 * _FORK_CELLS cells splits its
+    runs of intervals across the usable CPUs in forked processes.
     """
     v = s.values
     n = s.n

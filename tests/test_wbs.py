@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import bisect
+import contextlib
 import itertools
 import math
+import os
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -11,10 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import awkward_values
+from conftest import FIXTURES, awkward_values
 
 import stepscan as ss
 import stepscan.wbs
+from stepscan.cli import main
 from stepscan.wbs import _best_per_interval, _draw_intervals, _median, mad_scale
 
 
@@ -140,9 +145,9 @@ class TestIntervalCusum:
 
 
 class TestBestPerInterval:
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_each_interval_matches_all_pairs_scan(self, data):
+    @staticmethod
+    def draw_rows(data):
+        """(cum, [starts, ends, los, his]) of up to 20 intervals over awkward values."""
         n = data.draw(st.integers(2, 60))
         cum = np.concatenate(([0.0], np.cumsum(data.draw(awkward_values(n)))))
         rows = []
@@ -151,14 +156,20 @@ class TestBestPerInterval:
             e = data.draw(st.integers(s + 1, n))
             lo, hi = sorted(data.draw(st.lists(st.integers(s, e - 1), min_size=2, max_size=2)))
             rows.append((s, e, lo, hi))
-        cols = [np.array(c) for c in zip(*rows)]
+        return cum, [np.array(c) for c in zip(*rows)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_each_interval_matches_all_pairs_scan(self, data):
+        cum, cols = self.draw_rows(data)
+        rows = range(cols[0].size)
         # every row twice, shuffled: equal widths in any input order
         perm = np.array(data.draw(st.permutations(range(2 * len(rows)))))
         shuffled = [np.tile(c, 2)[perm] for c in cols]
         with mock.patch.object(stepscan.wbs, "_BLOCK_CELLS", data.draw(BLOCKS)):
             best_b, best_stat = _best_per_interval(cum, *cols)
             shuffled_b, shuffled_stat = _best_per_interval(cum, *shuffled)
-        for i in range(len(rows)):
+        for i in rows:
             b, stat, _ = all_pairs_scan(cum, *(c[i : i + 1] for c in cols))
             assert (best_b[i], best_stat[i]) == (b, stat)
         assert np.array_equal(shuffled_b, np.tile(best_b, 2)[perm])
@@ -200,6 +211,160 @@ class TestBestPerInterval:
         for i in range(cols[0].size):
             b, stat, _ = all_pairs_scan(cum, *(c[i : i + 1] for c in cols))
             assert (best_b[i], best_stat[i]) == (b, stat)
+
+
+
+@contextlib.contextmanager
+def split_scan(cpus, fork_cells=1, fork_error=None):
+    """Scans of fork_cells cells per process or more split over cpus usable CPUs.
+
+    Yields the spy on os.fork, which raises fork_error when given.
+    """
+    with (mock.patch.object(stepscan.wbs, "_FORK_CELLS", fork_cells),
+          mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))),
+          mock.patch.object(os, "fork", wraps=os.fork, side_effect=fork_error) as fork):
+        yield fork
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def second_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class NumpyWithSqrt:
+    """numpy for stepscan.wbs, with np.sqrt replaced."""
+
+    def __init__(self, sqrt):
+        self.sqrt = sqrt
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def failing_sqrt(where):
+    """np.sqrt for stepscan.wbs that raises in the "parent" or in every child.
+
+    When the parent fails, each child sleeps 30 s before it fails too, so a
+    child that is not killed shows in the time the call takes.
+    """
+    parent = os.getpid()
+
+    def sqrt(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(30 if where == "parent" else 0)
+            raise RuntimeError("a child's share failed")
+        if where == "parent":
+            raise RuntimeError("the parent's share failed")
+        return np.sqrt(*args, **kwargs)
+
+    return mock.patch.object(stepscan.wbs, "np", NumpyWithSqrt(sqrt))
+
+
+class TestSplitScan:
+    @staticmethod
+    def assert_matches_all_pairs_scan(cum, cols, best_b, best_stat):
+        for i in range(cols[0].size):
+            b, stat, _ = all_pairs_scan(cum, *(c[i : i + 1] for c in cols))
+            assert (best_b[i], best_stat[i]) == (b, stat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_split_equals_one_process_on_awkward_values(self, data):
+        cum, cols = TestBestPerInterval.draw_rows(data)
+        cpus = data.draw(st.sampled_from([2, 3]))
+        with (mock.patch.object(stepscan.wbs, "_BLOCK_CELLS", data.draw(BLOCKS)),
+              mock.patch.object(stepscan.wbs, "_RUN_ROWS", data.draw(st.sampled_from([1, 2])))):
+            want_b, want_stat = _best_per_interval(cum, *cols)
+            with split_scan(cpus):
+                best_b, best_stat = _best_per_interval(cum, *cols)
+        assert_no_child()
+        assert best_b.tobytes() == want_b.tobytes()
+        assert best_stat.tobytes() == want_stat.tobytes()
+        self.assert_matches_all_pairs_scan(cum, cols, best_b, best_stat)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("run_rows", [1, 2, 5])
+    @pytest.mark.parametrize("case", ["shuffled duplicates", "mixed widths", "wide rows"])
+    def test_split_changes_no_bit(self, case, run_rows, cpus):
+        cum, cols, cells = TestBestPerInterval.run_case(case)
+        with (mock.patch.object(stepscan.wbs, "_BLOCK_CELLS", cells),
+              mock.patch.object(stepscan.wbs, "_RUN_ROWS", run_rows)):
+            want_b, want_stat = _best_per_interval(cum, *cols)
+            with split_scan(cpus) as fork:
+                best_b, best_stat = _best_per_interval(cum, *cols)
+        assert fork.call_count == cpus - 1
+        assert_no_child()
+        assert best_b.tobytes() == want_b.tobytes()
+        assert best_stat.tobytes() == want_stat.tobytes()
+        self.assert_matches_all_pairs_scan(cum, cols, best_b, best_stat)
+
+    def test_segmentation_is_bit_identical_when_every_scan_splits(self):
+        sig, _ = ss.make_step_signal([0, 2, -1, 1, 3, 0], [500] * 6, sigma=1.0, seed=6)
+        cfg = ss.WbsConfig(num_intervals=300, seed=1)
+        with split_scan(2) as fork:
+            got = ss.wbs_segment(sig, cfg)
+        assert fork.call_count == 12  # the full scan and 11 rescans
+        assert_no_child()
+        want = all_pairs_wbs_segment(sig, cfg)
+        assert (got.breaks, got.criterion_trace) == (want.breaks, want.criterion_trace)
+
+    @pytest.mark.parametrize("case,forks", [
+        ("two CPUs", 1), ("at the threshold", 1),
+        ("second thread", 0), ("one CPU", 0), ("below the threshold", 0),
+    ])
+    def test_when_the_scan_forks(self, case, forks):
+        # os.fork raises here, so a scan that tries to split scans every run itself
+        cum, cols, _ = TestBestPerInterval.run_case("mixed widths")
+        cells = int((cols[3] - cols[2] + 1).sum())
+        want_b, want_stat = _best_per_interval(cum, *cols)
+        fork_cells = {"at the threshold": cells // 2, "below the threshold": cells // 2 + 1}
+        with (second_thread() if case == "second thread" else contextlib.nullcontext(),
+              split_scan(1 if case == "one CPU" else 2, fork_cells.get(case, 1),
+                         OSError("fork failed")) as fork):
+            best_b, best_stat = _best_per_interval(cum, *cols)
+        assert fork.call_count == forks
+        assert best_b.tobytes() == want_b.tobytes()
+        assert best_stat.tobytes() == want_stat.tobytes()
+
+    def test_a_failed_child_raises(self):
+        cum, cols, _ = TestBestPerInterval.run_case("wide rows")
+        with (mock.patch.object(stepscan.wbs, "_RUN_ROWS", 1),
+              split_scan(3) as fork, failing_sqrt("child")):
+            with pytest.raises(ChildProcessError, match="2 of 2 WBS scan processes failed"):
+                _best_per_interval(cum, *cols)
+        assert fork.call_count == 2
+        assert_no_child()
+
+    def test_a_failed_parent_kills_its_children(self):
+        cum, cols, _ = TestBestPerInterval.run_case("wide rows")
+        started = time.monotonic()
+        with (mock.patch.object(stepscan.wbs, "_RUN_ROWS", 1),
+              split_scan(3) as fork, failing_sqrt("parent")):
+            with pytest.raises(RuntimeError, match="the parent's share failed"):
+                _best_per_interval(cum, *cols)
+        assert fork.call_count == 2
+        assert time.monotonic() - started < 15  # the children were killed, not awaited
+        assert_no_child()
+
+    def test_cli_exits_1_on_a_failed_child(self, capsys):
+        with split_scan(2), failing_sqrt("child"):
+            code = main(["segment", "--method", "wbs", str(FIXTURES / "nile.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "stepscan: 1 of 1 WBS scan processes failed\n"
+        assert_no_child()
 
 
 class TestIntervalSampling:

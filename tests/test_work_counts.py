@@ -9,6 +9,7 @@ count re-pins it here and says why in CHANGES.md, as for the digests.
 from __future__ import annotations
 
 import importlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -210,6 +211,25 @@ def test_wbs_long_cells_and_peak(monkeypatch, wbs_long_jobs, job_id, breaks, ful
         tracemalloc.stop()
     assert seg.breaks == breaks
     assert (cells[0], len(cells) - 1, sum(cells[1:])) == (full_scan, 11, rescans)
+    assert peak <= 1.5 * 2**20
+
+
+def test_wbs_10000_peak_in_one_process(monkeypatch, wbs_long_jobs):
+    # tracemalloc sees only its own process, and with several usable CPUs
+    # the full scans above run in forked ones too; kept in one process, the
+    # whole scan is traced and stays under the same bound
+    def fork():
+        raise AssertionError("the scan forked")
+
+    monkeypatch.setattr(wbs, "_FORK_CELLS", 1 << 62)
+    monkeypatch.setattr(os, "fork", fork)
+    tracemalloc.start()
+    try:
+        seg = wbs_long_jobs["wbs-10000"].run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seg.breaks == (1666, 3333, 4998, 6664, 8331)
     assert peak <= 1.5 * 2**20
 
 
