@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import _EPS, DataError, Segmentation, TimeSeries, segmentation_from_breaks
+from .series import _EPS, DataError, Segmentation, TimeSeries, _fork_shares, segmentation_from_breaks
 
 # Rows of the distance triangle summed per block at alpha other than 1 and 2.
 _BLOCK_ROWS = 128
@@ -23,6 +23,9 @@ _BLOCK_ROWS = 128
 _BLOCK_POS = 24
 # Values held by one batch of permutation replicates (rows * n).
 _BATCH_CELLS = 1 << 14
+# Work per process of a split permutation test, in pairs (R * n^2 below
+# alpha = 2, R * n at it); a fork and reap cost about 2.4 M rank-kernel pairs.
+_FORK_PAIRS = 1 << 23
 
 # NumPy's SeedSequence hash and PCG64 seeding constants (bit_generator.pyx,
 # pcg64.h); the replicate streams test pins them to default_rng.
@@ -285,6 +288,12 @@ def permutation_test(values: np.ndarray, b: int, cfg: EdivConfig,
     split. A tie is judged up to the rounding of the sums, n * eps * T
     with T the segment's total pairwise distance, so it does not hinge
     on summation order: p = (1 + #{Q*_r >= Q_obs - n eps T}) / (R + 1).
+
+    On Linux with no other Python thread, a test of k * _FORK_PAIRS pairs
+    or more (R * n^2, or R * n at alpha = 2) splits its replicates into k
+    contiguous ranges, one per forked process and usable CPU at most (see
+    _fork_shares). A row does not depend on its batch and the hit counts
+    are integers, so p is bit-identical.
     """
     v = np.asarray(values, dtype=float)
     if v.size < 2 * cfg.min_size:
@@ -294,15 +303,25 @@ def permutation_test(values: np.ndarray, b: int, cfg: EdivConfig,
     if where.size == 0:
         raise ValueError(f"split {b} violates min_size {cfg.min_size}")
     q_tie = float(q[where[0]]) - v.size * _EPS * total
-    hits = 0
+    reps = cfg.num_permutations
     step = max(1, _BATCH_CELLS // v.size)
     gen = np.random.Generator(np.random.PCG64(0))  # reseeded per replicate
-    for first in range(0, cfg.num_permutations, step):
-        perms = _permutations(gen, v.size, cfg.seed, seed_key, first,
-                              min(first + step, cfg.num_permutations))
-        _, q_perm, _ = _split_divergences(v, cfg.alpha, cfg.min_size, perms)
-        hits += int(np.count_nonzero(q_perm.max(axis=1) >= q_tie))
-    return (1 + hits) / (cfg.num_permutations + 1)
+
+    def count(share: int, procs: int, slots) -> None:  # one contiguous range of replicates
+        hits = 0
+        stop = (share + 1) * reps // procs
+        for first in range(share * reps // procs, stop, step):
+            perms = _permutations(gen, v.size, cfg.seed, seed_key, first,
+                                  min(first + step, stop))
+            _, q_perm, _ = _split_divergences(v, cfg.alpha, cfg.min_size, perms)
+            hits += int(np.count_nonzero(q_perm.max(axis=1) >= q_tie))
+        np.frombuffer(slots, np.int64)[share] = hits
+
+    # pairs, counting at most _FORK_PAIRS per replicate so that no process gets none
+    work = reps * min(_FORK_PAIRS, v.size * (1 if cfg.alpha == 2.0 else v.size))
+    slots = _fork_shares(count, work, _FORK_PAIRS, lambda k: 8 * k,
+                         "e-divisive permutation test")
+    return (1 + int(np.frombuffer(slots, np.int64).sum())) / (reps + 1)
 
 
 def e_divisive(s: TimeSeries, cfg: EdivConfig = EdivConfig()) -> Segmentation:
@@ -313,7 +332,8 @@ def e_divisive(s: TimeSeries, cfg: EdivConfig = EdivConfig()) -> Segmentation:
     permutation conditional on the breaks accepted so far, and accepts
     it while p <= sig_level. Stops at the first insignificant candidate,
     at max_breaks, or when nothing is splittable. The criterion trace
-    records (break, p-value) pairs in time order.
+    records (break, p-value) pairs in time order. A test of a long
+    segment forks, as permutation_test says; the breaks do not change.
     """
     v = s.values
     if s.n < 2 * cfg.min_size:

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 
@@ -64,6 +67,52 @@ def _check_budget(planned: int, owner: str, what: str, fix: str) -> None:
     if planned > _BUDGET_BYTES:
         raise DataError(f"{owner} would need a {planned:,}-byte {what}, over its"
                         f" {_BUDGET_BYTES:,}-byte budget; {fix}")
+
+
+def _fork_shares(share: Callable[[int, int, Any], None], work: int, per_process: int,
+                 nbytes: Callable[[int], int], what: str) -> Any:
+    """Run share(p, k, buf) for p in range(k); return buf, nbytes(k) writable bytes.
+
+    k = min(usable CPUs, work // per_process), at least 1, on Linux with
+    no other Python thread (a fork copies only the calling thread); else 1.
+    Shares 1..k-1 run in forked children over a shared anonymous mapping,
+    or in the parent if a fork fails. A failing parent kills its children,
+    every child is reaped, and a failed child raises ChildProcessError.
+    """
+    procs = 1
+    if sys.platform == "linux" and hasattr(os, "fork") and threading.active_count() == 1:
+        procs = max(1, min(len(os.sched_getaffinity(0)), work // per_process))
+    if procs > 1:
+        import mmap  # here, so that a call that never splits does not load it
+        buf = mmap.mmap(-1, nbytes(procs))
+    else:
+        buf = bytearray(nbytes(1))
+    pids: list[int] = []
+    try:
+        for p in range(1, procs):
+            try:
+                pid = os.fork()
+            except OSError:  # the parent runs the shares left over
+                break
+            if pid == 0:  # never return into the caller's code
+                code = 1
+                try:
+                    share(p, procs, buf)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        for p in (0, *range(len(pids) + 1, procs)):
+            share(p, procs, buf)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL
+        raise
+    finally:
+        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+    if failed:
+        raise ChildProcessError(f"{failed} of {len(pids)} {what} processes failed")
+    return buf
 
 
 _VALID_FREQS = (1, 4, 12)

@@ -10,14 +10,12 @@ which plain binary segmentation can miss.
 from __future__ import annotations
 
 import math
-import os
-import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import _EPS, DataError, Segmentation, TimeSeries, _check_budget, segmentation_from_breaks
+from .series import (_EPS, DataError, Segmentation, TimeSeries, _check_budget, _fork_shares,
+                     segmentation_from_breaks)
 
 __all__ = ["WbsConfig", "wbs_segment", "mad_scale"]
 
@@ -107,22 +105,11 @@ def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     the first maximum. A row wider than a block is scanned in column
     chunks, a later chunk winning only if strictly larger. On Linux with
     no other Python thread, a scan of k * _FORK_CELLS cells or more runs
-    in k forked processes (at most one per usable CPU); process p scans
-    runs p, p + k, ... into shared pages, so every row holds the same bits
-    as in one process. A failed child raises ChildProcessError.
+    in k forked processes (at most one per usable CPU; see _fork_shares);
+    process p scans runs p, p + k, ... into shared pages, so every row
+    holds the same bits as in one process.
     """
     widths = his - los + 1
-    procs = 1
-    if sys.platform == "linux" and hasattr(os, "fork") and threading.active_count() == 1:
-        procs = max(1, min(len(os.sched_getaffinity(0)), int(widths.sum()) // _FORK_CELLS))
-    if procs > 1:  # each row is written by one process, into shared pages
-        import mmap  # here, so that a run that never splits does not load it
-        shared = mmap.mmap(-1, 16 * starts.size)
-        best_b = np.ndarray(starts.size, int, shared)
-        best_stat = np.ndarray(starts.size, float, shared, best_b.nbytes)
-    else:
-        best_b = np.empty(starts.size, dtype=int)
-        best_stat = np.empty(starts.size)
     widest = int(widths.max(initial=0))
     cells = min(_BLOCK_CELLS, widest * widths.size)  # no block is larger
     width = min(cells, widest)  # nor wider
@@ -133,7 +120,12 @@ def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     consts = np.empty((6, _RUN_ROWS))
     ticks = np.arange(_RUN_ROWS + 1)
 
-    def scan(share: int) -> None:  # runs share, share + procs, ...
+    def results(buf) -> tuple[np.ndarray, np.ndarray]:  # best b and best statistic
+        return (np.ndarray(starts.size, int, buf),
+                np.ndarray(starts.size, float, buf, 8 * starts.size))
+
+    def scan(share: int, procs: int, buf) -> None:  # runs share, share + procs, ...
+        best_b, best_stat = results(buf)
         for r0 in range(share * _RUN_ROWS, widths.size, procs * _RUN_ROWS):
             run = slice(r0, r0 + _RUN_ROWS)
             ix = np.array([los[run], ends[run], his[run], starts[run] - 1])
@@ -192,33 +184,12 @@ def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
                         np.copyto(best_b[i:j], lo + c0 + arg, where=better)
                 a = b
     bufsize = np.setbufsize(_UFUNC_BUFFER)
-    pids: list[int] = []
-    try:
-        for share in range(1, procs):
-            try:
-                pid = os.fork()
-            except OSError:  # the parent scans the shares left over
-                break
-            if pid == 0:  # never return into the caller's code
-                code = 1
-                try:
-                    scan(share)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-        for share in (0, *range(len(pids) + 1, procs)):
-            scan(share)
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, 9)  # SIGKILL
-        raise
+    try:  # each row is written by one process
+        buf = _fork_shares(scan, int(widths.sum()), _FORK_CELLS, lambda k: 16 * starts.size,
+                           "WBS scan")
     finally:
         np.setbufsize(bufsize)
-        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
-    if failed:
-        raise ChildProcessError(f"{failed} of {len(pids)} WBS scan processes failed")
-    return best_b, best_stat
+    return results(buf)
 
 
 def _draw_intervals(n: int, count: int, min_len: int,

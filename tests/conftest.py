@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
 import pathlib
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -61,6 +65,37 @@ def brute_force_breaks(values, m, min_len, rss=None):
         if best is None or total < best[0]:
             best = (total, breaks)
     return best
+
+
+@contextlib.contextmanager
+def split_work(module, constant, cpus, per_process=1, fork_error=None):
+    """Work of per_process units per process or more splits over cpus usable CPUs.
+
+    module.constant is the work one process takes; yields the spy on
+    os.fork, which raises fork_error when given.
+    """
+    with (mock.patch.object(module, constant, per_process),
+          mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))),
+          mock.patch.object(os, "fork", wraps=os.fork, side_effect=fork_error) as fork):
+        yield fork
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def second_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 @pytest.fixture(scope="session")

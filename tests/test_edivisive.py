@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import contextlib
+import functools
+import importlib
 import math
+import os
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -11,10 +16,12 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import awkward_values
+from conftest import (FIXTURES, REPO, assert_no_child, awkward_values, second_thread,
+                      split_work)
 
 import stepscan as ss
 import stepscan.edivisive
+from stepscan.cli import main
 from stepscan.edivisive import (_permutations, _rank_sums, _split_divergences, best_split,
                                 permutation_test)
 
@@ -516,12 +523,14 @@ class TestRankKernel:
     def test_peak_memory_does_not_grow_with_the_permutation_count(self):
         # four replicates per batch at n = 4000: 6 and 18 make 2 and 5 batches;
         # one batch of all 18 would peak near 6 MB, one of 60 near 19 MB
+        # tracemalloc sees only its own process, so the test is kept in one
         v = np.random.default_rng(3).normal(size=4000)
         peaks = []
         for r in (6, 18):
             tracemalloc.start()
             try:
-                permutation_test(v, 2000, ss.EdivConfig(num_permutations=r))
+                with one_process():
+                    permutation_test(v, 2000, ss.EdivConfig(num_permutations=r))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -570,3 +579,136 @@ class TestAgainstPrefixMatrix:
             want = ss.e_divisive(series, cfg)
         assert got.breaks == want.breaks
         assert got.criterion_trace == want.criterion_trace
+
+
+# split_test(cpus, per_process=1, fork_error=None): tests of per_process
+# pairs per process or more split over cpus usable CPUs; yields the spy on os.fork
+split_test = functools.partial(split_work, stepscan.edivisive, "_FORK_PAIRS")
+
+
+@contextlib.contextmanager
+def one_process():
+    """No permutation test splits, and os.fork fails the test if one tries."""
+    def fork():
+        raise AssertionError("the permutation test forked")
+
+    with (mock.patch.object(stepscan.edivisive, "_FORK_PAIRS", 1 << 62),
+          mock.patch.object(os, "fork", fork)):
+        yield
+
+
+def failing_batches(where):
+    """_split_divergences that raises on a replicate batch in the "parent" or in every child.
+
+    When the parent fails, each child sleeps 30 s before it fails too, so a
+    child that is not killed shows in the time the call takes.
+    """
+    parent = os.getpid()
+    divergences = stepscan.edivisive._split_divergences
+
+    def scoring(values, alpha, min_size, perms=None):
+        if perms is not None and os.getpid() != parent:
+            time.sleep(30 if where == "parent" else 0)
+            raise RuntimeError("a child's share failed")
+        if perms is not None and where == "parent":
+            raise RuntimeError("the parent's share failed")
+        return divergences(values, alpha, min_size, perms)
+
+    return mock.patch.object(stepscan.edivisive, "_split_divergences", scoring)
+
+
+@pytest.fixture(scope="module")
+def ediv_energy_jobs(tmp_path_factory):
+    """The two seed-0 jobs of the benchmark's ediv-energy workload, by id."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(REPO / "bench"))
+        workloads = importlib.import_module("workloads")
+        return {job.id: job for job in workloads.build("ediv-energy", 0,
+                                                       str(tmp_path_factory.mktemp("ediv")))}
+
+
+class TestSplitPermutationTest:
+    """Replicates split across forked processes give the one-process p-value."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_split_equals_one_process(self, data):
+        n = data.draw(st.integers(8, 60))
+        v = data.draw(st.one_of(awkward_values(n), bumpy_values(n)))
+        cfg = ss.EdivConfig(min_size=data.draw(st.integers(2, n // 4)),
+                            alpha=data.draw(st.sampled_from([0.5, 1.0, 2.0])),
+                            num_permutations=data.draw(st.sampled_from([2, 5, 23])),
+                            seed=data.draw(st.integers(0, 3)))
+        b, _ = best_split(v, cfg)
+        cpus = data.draw(st.sampled_from([2, 3]))
+        rows = data.draw(st.sampled_from([1, 2, 3, 7]))  # ragged batches in every share
+        with mock.patch.object(stepscan.edivisive, "_BATCH_CELLS", rows * n):
+            with one_process():
+                want = permutation_test(v, b, cfg, seed_key=5)
+            with split_test(cpus) as fork:
+                got = permutation_test(v, b, cfg, seed_key=5)
+        assert fork.call_count == min(cpus, cfg.num_permutations) - 1  # no empty share
+        assert_no_child()
+        assert got == want
+        if cfg.alpha != 2.0:
+            assert got == reference_permutation_test(v, b, cfg, seed_key=5)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("case,forks", [
+        ("two CPUs", 1), ("at the threshold", 1),
+        ("second thread", 0), ("one CPU", 0), ("below the threshold", 0),
+    ])
+    def test_when_the_test_forks(self, case, forks, alpha):
+        # os.fork raises here, so a test that tries to split scores every replicate itself
+        v = np.random.default_rng(4).normal(size=40) + np.repeat([0.0, 0.7], 20)
+        cfg = ss.EdivConfig(min_size=5, alpha=alpha, num_permutations=29)
+        work = 29 * 40 * (1 if alpha == 2.0 else 40)  # pairs: R n^2, or R n at alpha = 2
+        per_process = {"at the threshold": work // 2, "below the threshold": work // 2 + 1}
+        with one_process():
+            want = permutation_test(v, 20, cfg)
+        with (second_thread() if case == "second thread" else contextlib.nullcontext(),
+              split_test(1 if case == "one CPU" else 2, per_process.get(case, 1),
+                         OSError("fork failed")) as fork):
+            got = permutation_test(v, 20, cfg)
+        assert fork.call_count == forks
+        assert got == want
+
+    def test_a_failed_child_raises(self):
+        v = np.random.default_rng(4).normal(size=40)
+        with split_test(3) as fork, failing_batches("child"):
+            with pytest.raises(ChildProcessError,
+                               match="2 of 2 e-divisive permutation test processes failed"):
+                permutation_test(v, 20, ss.EdivConfig(min_size=5, num_permutations=29))
+        assert fork.call_count == 2
+        assert_no_child()
+
+    def test_a_failed_parent_kills_its_children(self):
+        v = np.random.default_rng(4).normal(size=40)
+        started = time.monotonic()
+        with split_test(3) as fork, failing_batches("parent"):
+            with pytest.raises(RuntimeError, match="the parent's share failed"):
+                permutation_test(v, 20, ss.EdivConfig(min_size=5, num_permutations=29))
+        assert fork.call_count == 2
+        assert time.monotonic() - started < 15  # the children were killed, not awaited
+        assert_no_child()
+
+    def test_cli_exits_1_on_a_failed_child(self, capsys):
+        with split_test(2), failing_batches("child"):
+            code = main(["segment", "--method", "edivisive", str(FIXTURES / "nile.csv")])
+        assert code == 1
+        assert (capsys.readouterr().err
+                == "stepscan: 1 of 1 e-divisive permutation test processes failed\n")
+        assert_no_child()
+
+    def test_benchmark_job_splits_at_two_cpus_with_the_same_breaks(self, ediv_energy_jobs):
+        # the ediv-energy n = 400 job at the production threshold: the tests
+        # of its 400- and 300-long segments (31.8 M and 17.9 M pairs) split
+        # in two, the one of its 200-long segment (8.0 M) does not
+        job = ediv_energy_jobs["ediv-400"]
+        with one_process():
+            want = job.run()
+        with split_test(2, stepscan.edivisive._FORK_PAIRS) as fork:
+            got = job.run()
+        assert fork.call_count == 2
+        assert_no_child()
+        assert (got.breaks, got.criterion_trace) == (want.breaks, want.criterion_trace)

@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
 import itertools
 import math
 import os
-import threading
 import time
 import tracemalloc
 from unittest import mock
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, awkward_values
+from conftest import FIXTURES, assert_no_child, awkward_values, second_thread, split_work
 
 import stepscan as ss
 import stepscan.wbs
@@ -214,34 +214,9 @@ class TestBestPerInterval:
 
 
 
-@contextlib.contextmanager
-def split_scan(cpus, fork_cells=1, fork_error=None):
-    """Scans of fork_cells cells per process or more split over cpus usable CPUs.
-
-    Yields the spy on os.fork, which raises fork_error when given.
-    """
-    with (mock.patch.object(stepscan.wbs, "_FORK_CELLS", fork_cells),
-          mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))),
-          mock.patch.object(os, "fork", wraps=os.fork, side_effect=fork_error) as fork):
-        yield fork
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextlib.contextmanager
-def second_thread():
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        yield
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
+# split_scan(cpus, per_process=1, fork_error=None): scans of per_process cells
+# per process or more split over cpus usable CPUs; yields the spy on os.fork
+split_scan = functools.partial(split_work, stepscan.wbs, "_FORK_CELLS")
 
 
 class NumpyWithSqrt:

@@ -259,6 +259,12 @@ def test_edivisive_replicates(monkeypatch, s, cfg, breaks, tested, rows, batches
             calls["identity" if perms is None else "batch"] += 1
         return out
 
+    def fork():
+        raise AssertionError("the permutation test forked")
+
+    # a forked child would draw and score out of these counters' sight
+    monkeypatch.setattr(edivisive, "_FORK_PAIRS", 1 << 62)
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(edivisive, "_permutations", drawing)
     monkeypatch.setattr(edivisive, "_split_divergences", scoring)
     assert ss.e_divisive(s, cfg).breaks == breaks
