@@ -19,16 +19,25 @@ candidate is below it everywhere by more than a rounding margin
 pruning costs more than it saves, reads every candidate from the
 rectangle. The cost table is bit-identical to evaluating every split
 at every cell read.
+
+On Linux, a sweep of k * _FORK_STARTS starts or more runs as a pipeline
+of k forked processes, at most one per usable CPU and one per layer:
+each steps a contiguous group of layers through the same blocks, into a
+shared cost table, once the process below it has stepped the block.
+Every cell is the same expression of the same values, so the table is
+bit-identical too.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import _EPS, Segmentation, TimeSeries, _check_budget, _span_rss, segmentation_from_breaks
+from .series import (_EPS, Segmentation, TimeSeries, _check_budget, _fork_shares, _processes,
+                     _span_rss, segmentation_from_breaks)
 
 __all__ = [
     "RssTriangle",
@@ -87,6 +96,9 @@ def _check_dp(n: int, min_len: int, max_breaks: int) -> None:
 
 # Starts per block of the pruned Bellman sweep.
 _BLOCK_STARTS = 96
+# Swept starts per process of a split sweep: each dp-long job (9,807 at
+# n = 2000 and more) splits in two, the Nile and oil DPs (at most 2,422) never.
+_FORK_STARTS = 1 << 12
 # A layer whose starts fit in this many blocks never prunes: a block of
 # pruning costs about 124 numpy operations, and reading every candidate
 # took 0.14-0.53 of the pruned time at 191 to 761 starts per layer on
@@ -173,36 +185,110 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     nothing can be dropped. It stays stopped: each later block adds k
     starts to the count and k candidates to the live set, so twice the
     live set stays above it. A short layer never prunes at all.
+
+    Pipeline. With k = min(usable CPUs, swept starts // _FORK_STARTS,
+    swept layers) > 1 (series._processes), _layer_cuts cuts the swept
+    layers into k contiguous groups of about equal swept starts, and
+    process p steps group p through the same grid of blocks into D, held
+    in series._fork_shares' shared mapping; the parent is process 0, with
+    the lowest layers. Each process sets its own rows of D to +inf, then
+    writes one byte to a pipe for process p + 1 after every block, and
+    process p + 1 reads one byte before every block, whether its layers
+    have starts there or not. So layer j reads D[j - 1] only in blocks
+    that layer j - 1 has finished, and every cell is the same expression
+    of the same values as in one process: D is bit-identical. A reader
+    polls without blocking and yields its CPU between polls: a blocking
+    read ran the two processes one after the other, the woken reader
+    most likely placed on its writer's CPU. A reader that finds EOF (its
+    writer died) raises; a writer whose reader is gone stops, and the
+    reap reports the failure. If a fork fails, one process sweeps it all.
+    After the reap the parent fills the D[j, 1] row.
     """
     s, n, h = tri.series, tri.n, tri.min_len
-    D = np.full((jmax + 1, n + 2), np.inf)
-    if jmax > 1:
-        D[1, h + 1 : n - h + 2] = _span_rss(s, np.arange(h + 1, n - h + 2), n)
-    layers = [_Layer() if n - j * h + 1 > _SHORT_BLOCKS * _BLOCK_STARTS else None
-              for j in range(2, jmax)]
-    plan = _Plan.build(s, h) if layers and layers[0] is not None else None
-    # the first short layer's candidates end at layer j - 1's last start
-    last = n - (layers.index(None) + 1) * h + 1 if None in layers else 0
-    a_hi = n - 2 * h + 1 if layers else h
-    while a_hi > h:
-        a_lo = max(h + 1, a_hi - _BLOCK_STARTS + 1)
-        blk = _Block(s, h, a_lo, a_hi, plan, last)
-        for j, layer in enumerate(layers, start=2):
-            swept = n - j * h + 2 - a_lo  # layer j's starts a_lo..n - j h + 1
-            k = min(blk.nb, swept)
-            if k < 1:
-                break
-            if layer is not None:
-                layer.step(s, blk, k, swept - k, D[j - 1], D[j], plan)
-            else:  # every candidate from c = a_lo + h on, +inf past D[j - 1]'s last start
-                c, w = a_lo + h, swept - k + blk.nb
-                D[j, a_lo : a_lo + k] = (blk.rss[:k, :w] + D[j - 1, c : c + w]).min(axis=1)
-        a_hi = a_lo - 1
+    starts = [n - (j + 1) * h + 1 for j in range(2, jmax)]  # swept by layers 2..jmax - 1
+    procs = max(1, min(_processes(sum(starts), _FORK_STARTS), len(starts)))
+    pipes = [os.pipe() for _ in range(procs - 1)]  # process p writes to p + 1 through pipe p
+    fds = [fd for pipe in pipes for fd in pipe]
+
+    def sweep(p: int, procs: int, buf) -> None:  # process p steps layers lo..hi - 1
+        read = pipes[p - 1][0] if p else None
+        write = pipes[p][1] if p < procs - 1 else None
+        for fd in [fd for fd in fds if fd not in (read, write)]:
+            os.close(fd)
+            fds.remove(fd)
+        D = np.ndarray((jmax + 1, n + 2), float, buf)
+        lo, hi = (2 + c for c in _layer_cuts(starts, procs)[p : p + 2])
+        # its layers' rows, and rows 0-1 in the first process and the top row in the last
+        D[0 if p == 0 else lo : jmax + 1 if p == procs - 1 else hi] = np.inf
+        if p == 0 and jmax > 1:
+            D[1, h + 1 : n - h + 2] = _span_rss(s, np.arange(h + 1, n - h + 2), n)
+        layers = [_Layer() if n - j * h + 1 > _SHORT_BLOCKS * _BLOCK_STARTS else None
+                  for j in range(lo, hi)]
+        plan = _Plan.build(s, h) if layers and layers[0] is not None else None
+        # the first short layer's candidates end at layer j - 1's last start
+        last = n - (lo + layers.index(None) - 1) * h + 1 if None in layers else 0
+        if read is not None:
+            os.set_blocking(read, False)
+        a_hi = n - 2 * h + 1 if starts else h
+        while a_hi > h:
+            a_lo = max(h + 1, a_hi - _BLOCK_STARTS + 1)
+            if read is not None:
+                _take_byte(read)
+            if layers and a_lo <= n - lo * h + 1:
+                blk = _Block(s, h, a_lo, a_hi, plan, last)
+                for j, layer in enumerate(layers, start=lo):
+                    swept = n - j * h + 2 - a_lo  # layer j's starts a_lo..n - j h + 1
+                    k = min(blk.nb, swept)
+                    if k < 1:
+                        break
+                    if layer is not None:
+                        layer.step(s, blk, k, swept - k, D[j - 1], D[j], plan)
+                    else:  # every candidate from c = a_lo + h on, +inf past D[j - 1]'s last start
+                        c, w = a_lo + h, swept - k + blk.nb
+                        D[j, a_lo : a_lo + k] = (blk.rss[:k, :w] + D[j - 1, c : c + w]).min(axis=1)
+            if write is not None:
+                try:
+                    os.write(write, b"\0")
+                except BrokenPipeError:  # a later process failed, and the reap reports it
+                    return
+            a_hi = a_lo - 1
+
+    try:
+        buf = _fork_shares(sweep, procs, lambda k: 8 * (jmax + 1) * (n + 2), "dynamic program")
+    finally:
+        for fd in fds:
+            os.close(fd)
+    D = np.ndarray((jmax + 1, n + 2), float, buf)
     row = _span_rss(s, 1, np.arange(h, n + 1))  # [1..c-1] for c = h + 1..n + 1
     D[1, 1] = row[-1]
     for j in range(2, jmax + 1):  # +inf past D[j - 1]'s last start
         D[j, 1] = (row + D[j - 1, h + 1 :]).min()
     return D
+
+
+def _layer_cuts(starts: list[int], procs: int) -> list[int]:
+    """Cut the swept layers into procs contiguous groups of about equal swept starts.
+
+    Process p steps the layers cuts[p]..cuts[p + 1] - 1 counted from the
+    lowest, which has starts[0] of them; every group holds a layer.
+    """
+    cum = np.cumsum(starts)
+    cuts = [0]
+    for p in range(1, procs):
+        c = 1 + int(np.abs(cum - p * cum[-1] / procs).argmin())
+        cuts.append(min(max(c, cuts[-1] + 1), len(starts) - procs + p))
+    return cuts + [len(starts)]
+
+
+def _take_byte(fd: int) -> None:
+    """Read one byte from fd, yielding the CPU between polls; EOFError if its writer ended."""
+    while True:
+        try:
+            if os.read(fd, 1):
+                return
+            raise EOFError("the process stepping the lower layers ended before the sweep did")
+        except BlockingIOError:
+            os.sched_yield()
 
 
 @dataclass(frozen=True)

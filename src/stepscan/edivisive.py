@@ -11,11 +11,13 @@ to a pure mean-shift statistic (the variant used for level dating).
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import _EPS, DataError, Segmentation, TimeSeries, _fork_shares, segmentation_from_breaks
+from .series import (_EPS, DataError, Segmentation, TimeSeries, _fork_shares, _leave_if_orphaned,
+                     _processes, segmentation_from_breaks)
 
 # Rows of the distance triangle summed per block at alpha other than 1 and 2.
 _BLOCK_ROWS = 128
@@ -307,10 +309,13 @@ def permutation_test(values: np.ndarray, b: int, cfg: EdivConfig,
     step = max(1, _BATCH_CELLS // v.size)
     gen = np.random.Generator(np.random.PCG64(0))  # reseeded per replicate
 
+    parent = os.getpid()
+
     def count(share: int, procs: int, slots) -> None:  # one contiguous range of replicates
         hits = 0
         stop = (share + 1) * reps // procs
         for first in range(share * reps // procs, stop, step):
+            _leave_if_orphaned(share, parent)
             perms = _permutations(gen, v.size, cfg.seed, seed_key, first,
                                   min(first + step, stop))
             _, q_perm, _ = _split_divergences(v, cfg.alpha, cfg.min_size, perms)
@@ -319,7 +324,7 @@ def permutation_test(values: np.ndarray, b: int, cfg: EdivConfig,
 
     # pairs, counting at most _FORK_PAIRS per replicate so that no process gets none
     work = reps * min(_FORK_PAIRS, v.size * (1 if cfg.alpha == 2.0 else v.size))
-    slots = _fork_shares(count, work, _FORK_PAIRS, lambda k: 8 * k,
+    slots = _fork_shares(count, _processes(work, _FORK_PAIRS), lambda k: 8 * k,
                          "e-divisive permutation test")
     return (1 + int(np.frombuffer(slots, np.int64).sum())) / (reps + 1)
 

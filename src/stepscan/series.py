@@ -69,50 +69,78 @@ def _check_budget(planned: int, owner: str, what: str, fix: str) -> None:
                         f" {_BUDGET_BYTES:,}-byte budget; {fix}")
 
 
-def _fork_shares(share: Callable[[int, int, Any], None], work: int, per_process: int,
-                 nbytes: Callable[[int], int], what: str) -> Any:
-    """Run share(p, k, buf) for p in range(k); return buf, nbytes(k) writable bytes.
+# Bytes of the note a failed child leaves for its parent: its exception's type and message.
+_NOTE_BYTES = 256
 
-    k = min(usable CPUs, work // per_process), at least 1, on Linux with
-    no other Python thread (a fork copies only the calling thread); else 1.
-    Shares 1..k-1 run in forked children over a shared anonymous mapping,
-    or in the parent if a fork fails. A failing parent kills its children,
-    every child is reaped, and a failed child raises ChildProcessError.
+
+def _processes(work: int, per_process: int) -> int:
+    """How many processes a job of work units runs in, per_process or more each.
+
+    min(usable CPUs, work // per_process), at least 1, on Linux with no
+    other Python thread (a fork copies only the calling thread); else 1.
     """
-    procs = 1
     if sys.platform == "linux" and hasattr(os, "fork") and threading.active_count() == 1:
-        procs = max(1, min(len(os.sched_getaffinity(0)), work // per_process))
+        return max(1, min(len(os.sched_getaffinity(0)), work // per_process))
+    return 1
+
+
+def _fork_shares(share: Callable[[int, int, Any], None], procs: int,
+                 nbytes: Callable[[int], int], what: str) -> Any:
+    """Run share(p, procs, buf) for p in range(procs); return buf, nbytes(procs) writable bytes.
+
+    Shares 1..procs-1 run in forked children over a shared anonymous
+    mapping, share 0 in the caller. If a fork fails, the children started
+    are killed and the whole job runs as procs = 1. A failing parent
+    kills its children, and every child is reaped. A failed child raises
+    ChildProcessError naming the first failure: the child's exception,
+    its exit code or the signal that killed it.
+    """
+    pids: list[int] = []
     if procs > 1:
         import mmap  # here, so that a call that never splits does not load it
-        buf = mmap.mmap(-1, nbytes(procs))
-    else:
-        buf = bytearray(nbytes(1))
-    pids: list[int] = []
-    try:
-        for p in range(1, procs):
-            try:
+        buf, notes = mmap.mmap(-1, nbytes(procs)), mmap.mmap(-1, procs * _NOTE_BYTES)
+        try:
+            for p in range(1, procs):
                 pid = os.fork()
-            except OSError:  # the parent runs the shares left over
-                break
-            if pid == 0:  # never return into the caller's code
-                code = 1
-                try:
-                    share(p, procs, buf)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-        for p in (0, *range(len(pids) + 1, procs)):
-            share(p, procs, buf)
+                if pid == 0:  # never return into the caller's code
+                    code = 1
+                    try:
+                        share(p, procs, buf)
+                        code = 0
+                    except BaseException as exc:  # noted for the parent; os._exit ends the child
+                        note = f"{type(exc).__name__}: {exc}".encode()[:_NOTE_BYTES]
+                        notes[p * _NOTE_BYTES : p * _NOTE_BYTES + len(note)] = note
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+        except OSError:  # a fork failed: one process runs the whole job
+            for pid in pids:
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
+            pids, procs = [], 1
+    if procs == 1:
+        buf = bytearray(nbytes(1))
+    try:
+        share(0, procs, buf)
     except BaseException:
         for pid in pids:
-            os.kill(pid, 9)  # SIGKILL
+            os.kill(pid, 9)
         raise
     finally:
-        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    failed = [(p, code) for p, code in enumerate(codes, 1) if code]
     if failed:
-        raise ChildProcessError(f"{failed} of {len(pids)} {what} processes failed")
+        p, code = failed[0]
+        note = notes[p * _NOTE_BYTES : (p + 1) * _NOTE_BYTES].rstrip(b"\0").decode(errors="replace")
+        why = f"killed by signal {-code}" if code < 0 else note or f"exit code {code}"
+        raise ChildProcessError(f"{len(failed)} of {len(pids)} {what} processes failed: {why}")
     return buf
+
+
+def _leave_if_orphaned(share: int, parent: int) -> None:
+    """End forked share at once if parent, the process that forked it, is gone."""
+    if share and os.getppid() != parent:
+        os._exit(1)
 
 
 _VALID_FREQS = (1, 4, 12)

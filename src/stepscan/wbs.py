@@ -10,12 +10,13 @@ which plain binary segmentation can miss.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .series import (_EPS, DataError, Segmentation, TimeSeries, _check_budget, _fork_shares,
-                     segmentation_from_breaks)
+                     _leave_if_orphaned, _processes, segmentation_from_breaks)
 
 __all__ = ["WbsConfig", "wbs_segment", "mad_scale"]
 
@@ -124,9 +125,12 @@ def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
         return (np.ndarray(starts.size, int, buf),
                 np.ndarray(starts.size, float, buf, 8 * starts.size))
 
+    parent = os.getpid()
+
     def scan(share: int, procs: int, buf) -> None:  # runs share, share + procs, ...
         best_b, best_stat = results(buf)
         for r0 in range(share * _RUN_ROWS, widths.size, procs * _RUN_ROWS):
+            _leave_if_orphaned(share, parent)
             run = slice(r0, r0 + _RUN_ROWS)
             ix = np.array([los[run], ends[run], his[run], starts[run] - 1])
             m = ix.shape[1]
@@ -185,8 +189,8 @@ def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,
                 a = b
     bufsize = np.setbufsize(_UFUNC_BUFFER)
     try:  # each row is written by one process
-        buf = _fork_shares(scan, int(widths.sum()), _FORK_CELLS, lambda k: 16 * starts.size,
-                           "WBS scan")
+        buf = _fork_shares(scan, _processes(int(widths.sum()), _FORK_CELLS),
+                           lambda k: 16 * starts.size, "WBS scan")
     finally:
         np.setbufsize(bufsize)
     return results(buf)

@@ -80,6 +80,16 @@ def split_work(module, constant, cpus, per_process=1, fork_error=None):
         yield fork
 
 
+def one_process(monkeypatch, module, constant):
+    """module never splits its work (module.constant is its work per process),
+    and os.fork fails the test if it tries."""
+    def fork():
+        raise AssertionError(f"{module.__name__} forked")
+
+    monkeypatch.setattr(module, constant, 1 << 62)
+    monkeypatch.setattr(os, "fork", fork)
+
+
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import contextlib
+import functools
+import importlib
+import os
+import signal
 import sys
 import tracemalloc
 from unittest import mock
@@ -9,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import awkward_values, brute_force_breaks
+from conftest import (FIXTURES, REPO, assert_no_child, awkward_values, brute_force_breaks,
+                      one_process, split_work)
 
 import stepscan as ss
 import stepscan.dating as dating
+from stepscan.cli import main
 from stepscan.dating import _suffix_costs, bic_value
 from stepscan.series import _EPS, _span_rss
 
@@ -299,8 +306,10 @@ class TestPrunedSuffixCosts:
                 assert_each_path_is_dense(tri, 4, True)
 
     def test_evaluates_under_2_5_percent_of_the_dense_cells(self, monkeypatch):
-        # each block's new-candidate triangle is evaluated once for all layers
+        # each block's new-candidate triangle is evaluated once for all layers,
+        # counted in one process (a split sweep steps some layers out of sight)
         tri = ss.build_rss_triangle(six_regimes(4000, 0), 200)
+        one_process(monkeypatch, dating, "_FORK_STARTS")
         cells = {"pruned": 0, "dense": 0}
 
         def counting(key, inner):
@@ -399,6 +408,175 @@ class TestReadCellsOnly:
                 for m, (total, breaks) in enumerate(exact):
                     seg = ss.optimal_breaks(tri, m)
                     assert (seg.rss_total, seg.breaks) == (total, breaks)
+
+
+# split_sweep(cpus, per_process=1, fork_error=None): sweeps of per_process
+# starts per process or more split over cpus usable CPUs; yields the spy on os.fork
+split_sweep = functools.partial(split_work, dating, "_FORK_STARTS")
+
+
+@pytest.fixture(scope="class", params=[2, 3], ids=["2 CPUs", "3 CPUs"])
+def split_sweeps(request):
+    """Every sweep of two layers or more in the class runs as a pipeline of
+    2 or 3 processes (at 3, the middle one both reads and writes)."""
+    with split_sweep(request.param) as fork:
+        yield
+    assert fork.call_count > 0
+    assert_no_child()
+
+
+@pytest.mark.usefixtures("split_sweeps")
+class TestPrunedSuffixCostsSplit(TestPrunedSuffixCosts):
+    """TestPrunedSuffixCosts with the layers stepped across processes."""
+
+
+@pytest.mark.usefixtures("split_sweeps")
+class TestReadCellsOnlySplit(TestReadCellsOnly):
+    """TestReadCellsOnly with the layers stepped across processes."""
+
+    # it records the layers stepped in this process only
+    test_the_top_layer_is_never_stepped = None
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_06_exhaustive_search_holds_split(cpus):
+    with split_sweep(cpus) as fork:
+        importlib.import_module("test_acceptance").test_06_dp_matches_exhaustive_search()
+    assert fork.call_count > 0
+    assert_no_child()
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError, rather than hang, if the block runs longer;
+    the processes it forked are then killed and reaped."""
+    def expire(signum, frame):
+        with open(f"/proc/self/task/{os.getpid()}/children") as f:
+            children = [int(pid) for pid in f.read().split()]
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def failing_layer(layer, how, after=3):
+    """_Layer.step that fails at its `after`-th step of layer `layer`, which
+    raises in the parent and raises or is SIGKILLed in a child."""
+    parent, calls = os.getpid(), [0]
+    step = dating._Layer.step
+
+    def stepping(self, s, blk, k, before, prev, out, plan):
+        if (out.ctypes.data - out.base.ctypes.data) // out.base.strides[0] == layer:
+            calls[0] += 1
+            if calls[0] == after and how == "is killed" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if calls[0] == after:
+                raise RuntimeError(f"layer {layer} failed")
+        step(self, s, blk, k, before, prev, out, plan)
+
+    return mock.patch.object(dating._Layer, "step", stepping)
+
+
+class TestSplitSweep:
+    """How a sweep split into a pipeline of processes ends.
+
+    On six regimes of n = 2000 with min_len 100 and jmax 9, layers 2..8
+    sweep 1,701 down to 1,101 starts, and all prune. Two processes step
+    layers 2-4 and 5-8; three step 2-3, 4-5 and 6-8.
+    """
+
+    tri = ss.build_rss_triangle(six_regimes(2000, 0), 100)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_d_is_bit_identical(self, cpus):
+        want = layer_outer_suffix_costs(self.tri, 9)
+        with split_sweep(cpus) as fork:
+            got = _suffix_costs(self.tri, 9)
+        assert fork.call_count == cpus - 1
+        assert_no_child()
+        assert got.tobytes() == want.tobytes()
+
+    def test_the_nile_and_oil_dps_never_fork(self, nile, wti_log_real):
+        # 134 and 2,422 swept starts, under two processes' worth
+        with split_sweep(3, dating._FORK_STARTS) as fork:
+            assert ss.select_breaks_bic(ss.build_rss_triangle(nile, 15), 5).breaks == (28,)
+            seg = ss.select_breaks_bic(ss.build_rss_triangle(wti_log_real, 10), 15)
+        assert seg.breaks == (60, 108, 131, 144, 156, 185, 201, 211, 230, 242)
+        assert fork.call_count == 0
+
+    def test_benchmark_jobs_split_with_the_same_breaks(self, monkeypatch, tmp_path):
+        # the dp-long jobs sweep 9,807, 19,607 and 39,207 starts: each splits in two
+        monkeypatch.syspath_prepend(str(REPO / "bench"))
+        jobs = importlib.import_module("workloads").build("dp-long", 0, str(tmp_path))
+        with split_sweep(2, dating._FORK_STARTS) as fork:
+            got = [job.run() for job in jobs]
+        assert fork.call_count == 3
+        assert_no_child()
+        with monkeypatch.context() as mp:
+            one_process(mp, dating, "_FORK_STARTS")
+            want = [job.run() for job in jobs]
+        assert [(s.breaks, s.criterion_trace) for s in got] == [
+            (s.breaks, s.criterion_trace) for s in want]
+
+    @pytest.mark.parametrize("cpus,layer,how,why", [
+        (2, 6, "is killed", "1 of 1 dynamic program processes failed: killed by signal 9"),
+        (2, 6, "raises", "1 of 1 dynamic program processes failed: RuntimeError: layer 6 failed"),
+        # the last process reads EOF and fails too
+        (3, 4, "is killed", "2 of 2 dynamic program processes failed: killed by signal 9"),
+        # the middle process ends when its writes find no reader
+        (3, 7, "raises", "1 of 2 dynamic program processes failed: RuntimeError: layer 7 failed"),
+    ])
+    def test_a_failed_child_raises_and_ends_the_pipeline(self, cpus, layer, how, why):
+        with deadline(60), split_sweep(cpus) as fork, failing_layer(layer, how):
+            with pytest.raises(ChildProcessError, match=f"^{why}$"):
+                _suffix_costs(self.tri, 9)
+        assert fork.call_count == cpus - 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_failed_parent_kills_its_consumers(self, cpus):
+        # the consumers wait for bytes the parent never writes; only a kill ends them
+        with deadline(60), split_sweep(cpus) as fork, failing_layer(2, "raises"):
+            with pytest.raises(RuntimeError, match="^layer 2 failed$"):
+                _suffix_costs(self.tri, 9)
+        assert fork.call_count == cpus - 1
+        assert_no_child()
+
+    def test_a_failed_fork_runs_the_whole_sweep_in_one_process(self):
+        # run as leftover shares, the pipeline would leave its parent waiting for ever
+        want = layer_outer_suffix_costs(self.tri, 9)
+        with deadline(60), split_sweep(3, 1, [mock.DEFAULT, OSError("fork failed")]) as fork:
+            got = _suffix_costs(self.tri, 9)
+        assert fork.call_count == 2
+        assert_no_child()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_cli_exits_1_on_a_failed_child(self, cpus, capsys):
+        # every child is SIGKILLed as it builds its first block, or reads EOF first
+        parent, build = os.getpid(), dating._Block.__init__
+
+        def building(self, *args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            build(self, *args)
+
+        with (deadline(60), split_sweep(cpus),
+              mock.patch.object(dating._Block, "__init__", building)):
+            code = main(["segment", "--method", "dp", "--min-seg", "5", "--max-breaks", "8",
+                         str(FIXTURES / "nile.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"stepscan: {cpus - 1} of {cpus - 1} dynamic program"
+                                           " processes failed: killed by signal 9\n")
+        assert_no_child()
 
 
 class TestBicSelection:

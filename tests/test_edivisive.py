@@ -655,29 +655,34 @@ class TestSplitPermutationTest:
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     @pytest.mark.parametrize("case,forks", [
-        ("two CPUs", 1), ("at the threshold", 1),
+        ("two CPUs", 1), ("at the threshold", 1), ("three CPUs, the second fork fails", 2),
         ("second thread", 0), ("one CPU", 0), ("below the threshold", 0),
     ])
     def test_when_the_test_forks(self, case, forks, alpha):
-        # os.fork raises here, so a test that tries to split scores every replicate itself
+        # os.fork raises here (at three CPUs, the second time), so a test that
+        # tries to split kills any child started and scores every replicate itself
         v = np.random.default_rng(4).normal(size=40) + np.repeat([0.0, 0.7], 20)
         cfg = ss.EdivConfig(min_size=5, alpha=alpha, num_permutations=29)
         work = 29 * 40 * (1 if alpha == 2.0 else 40)  # pairs: R n^2, or R n at alpha = 2
         per_process = {"at the threshold": work // 2, "below the threshold": work // 2 + 1}
+        cpus = {"one CPU": 1, "three CPUs, the second fork fails": 3}.get(case, 2)
         with one_process():
             want = permutation_test(v, 20, cfg)
         with (second_thread() if case == "second thread" else contextlib.nullcontext(),
-              split_test(1 if case == "one CPU" else 2, per_process.get(case, 1),
-                         OSError("fork failed")) as fork):
+              split_test(cpus, per_process.get(case, 1),
+                         [mock.DEFAULT, OSError("fork failed")] if cpus == 3
+                         else OSError("fork failed")) as fork):
             got = permutation_test(v, 20, cfg)
         assert fork.call_count == forks
+        assert_no_child()
         assert got == want
 
     def test_a_failed_child_raises(self):
         v = np.random.default_rng(4).normal(size=40)
         with split_test(3) as fork, failing_batches("child"):
             with pytest.raises(ChildProcessError,
-                               match="2 of 2 e-divisive permutation test processes failed"):
+                               match="^2 of 2 e-divisive permutation test processes failed:"
+                                     " RuntimeError: a child's share failed$"):
                 permutation_test(v, 20, ss.EdivConfig(min_size=5, num_permutations=29))
         assert fork.call_count == 2
         assert_no_child()
@@ -697,7 +702,8 @@ class TestSplitPermutationTest:
             code = main(["segment", "--method", "edivisive", str(FIXTURES / "nile.csv")])
         assert code == 1
         assert (capsys.readouterr().err
-                == "stepscan: 1 of 1 e-divisive permutation test processes failed\n")
+                == "stepscan: 1 of 1 e-divisive permutation test processes failed:"
+                   " RuntimeError: a child's share failed\n")
         assert_no_child()
 
     def test_benchmark_job_splits_at_two_cpus_with_the_same_breaks(self, ediv_energy_jobs):

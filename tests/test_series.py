@@ -1,14 +1,21 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import REPO, assert_no_child
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepscan as ss
-from stepscan.series import segmentation_from_breaks
+from stepscan.series import _NOTE_BYTES, _fork_shares, segmentation_from_breaks
 
 
 def annual(values, label=""):
@@ -257,3 +264,139 @@ class TestSegmentation:
             assert math.isclose(mean, piece.mean(), rel_tol=1e-10, abs_tol=1e-12)
         rss = sum(float(((piece - piece.mean()) ** 2).sum()) for piece in pieces)
         assert math.isclose(seg.rss_total, rss, rel_tol=1e-10, abs_tol=1e-9)
+
+
+def run_shares(share, procs):
+    return _fork_shares(share, procs, lambda k: 8 * k, "test")
+
+
+# Runs a split WBS scan or e-divisive permutation test over 2 mocked CPUs
+# whose child takes BATCH_S per run or batch and prints the child's pid.
+ORPHAN_SCRIPT = """
+import os, sys, time
+from unittest import mock
+import numpy as np
+import stepscan as ss, stepscan.edivisive, stepscan.wbs
+
+method, batch_s = sys.argv[1], float(sys.argv[2])
+parent, fork = os.getpid(), os.fork
+
+def forking():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+def slow(inner):
+    def call(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(batch_s)
+        return inner(*args, **kwargs)
+    return call
+
+class SlowSqrt:  # numpy for the WBS scan, which takes one sqrt per run of one interval
+    sqrt = staticmethod(slow(np.sqrt))
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+with (mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}),
+      mock.patch.object(os, "fork", forking)):
+    if method == "wbs":
+        cum = np.concatenate(([0.0], np.cumsum(np.random.default_rng(0).normal(size=400))))
+        starts = np.arange(1, 201)
+        with (mock.patch.object(stepscan.wbs, "_FORK_CELLS", 1),
+              mock.patch.object(stepscan.wbs, "_RUN_ROWS", 1),
+              mock.patch.object(stepscan.wbs, "np", SlowSqrt())):
+            stepscan.wbs._best_per_interval(cum, starts, starts + 199, starts, starts + 198)
+    else:
+        with (mock.patch.object(stepscan.edivisive, "_FORK_PAIRS", 1),
+              mock.patch.object(stepscan.edivisive, "_BATCH_CELLS", 40),
+              mock.patch.object(stepscan.edivisive, "_permutations",
+                                slow(stepscan.edivisive._permutations))):
+            stepscan.edivisive.permutation_test(np.random.default_rng(4).normal(size=40), 20,
+                                                ss.EdivConfig(min_size=5, num_permutations=199))
+"""
+
+
+def running(pid):
+    """Whether process pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestForkShares:
+    """How series._fork_shares runs the shares of a split job, and how it ends."""
+
+    def test_shares_write_into_one_buffer(self):
+        def share(p, procs, buf):
+            np.frombuffer(buf, np.int64)[p] = 10 * procs + p
+
+        assert np.frombuffer(run_shares(share, 3), np.int64).tolist() == [30, 31, 32]
+        assert_no_child()
+
+    @pytest.mark.parametrize("how,why", [
+        ("raises", "RuntimeError: share 1 failed"),
+        ("is killed", "killed by signal 9"),
+        ("exits", "exit code 3"),
+        ("raises at length", "RuntimeError: " + "x" * (_NOTE_BYTES - len("RuntimeError: "))),
+    ])
+    def test_a_failed_child_says_why(self, how, why):
+        def share(p, procs, buf):
+            if p != 1:
+                return
+            if how == "is killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if how == "exits":
+                os._exit(3)
+            raise RuntimeError("x" * 1000 if how == "raises at length" else "share 1 failed")
+
+        with pytest.raises(ChildProcessError, match=f"^1 of 2 test processes failed: {why}$"):
+            run_shares(share, 3)
+        assert_no_child()
+
+    def test_a_failed_fork_runs_the_whole_job_in_one_process(self):
+        # a child that is not killed shows in the time the call takes
+        calls = []
+
+        def share(p, procs, buf):
+            calls.append((p, procs))
+            if p:
+                time.sleep(30)
+            np.frombuffer(buf, np.int64)[p] = 7
+
+        started = time.monotonic()
+        with mock.patch.object(os, "fork", wraps=os.fork,
+                               side_effect=[mock.DEFAULT, OSError("fork failed")]) as fork:
+            buf = run_shares(share, 3)
+        assert fork.call_count == 2
+        assert time.monotonic() - started < 15
+        assert calls == [(0, 1)]
+        assert np.frombuffer(buf, np.int64).tolist() == [7]
+        assert_no_child()
+
+    @pytest.mark.parametrize("method", ["wbs", "edivisive"])
+    def test_a_child_outlives_its_killed_parent_by_one_batch_at_most(self, method):
+        # unchecked, the child would compute its 100 batches for 20 s more
+        batch_s = 0.2
+        proc = subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT, method, str(batch_s)],
+                                stdout=subprocess.PIPE, text=True, cwd=str(REPO))
+        child = None
+        try:
+            child = int(proc.stdout.readline())
+            time.sleep(3 * batch_s)  # the child is mid-split
+            assert running(child)
+            proc.kill()
+            proc.wait(timeout=10)
+            killed = time.monotonic()
+            while running(child) and time.monotonic() - killed < 10:
+                time.sleep(0.01)
+            assert time.monotonic() - killed < batch_s + 1.0
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+            if child and running(child):
+                os.kill(child, signal.SIGKILL)

@@ -297,20 +297,24 @@ class TestSplitScan:
         assert (got.breaks, got.criterion_trace) == (want.breaks, want.criterion_trace)
 
     @pytest.mark.parametrize("case,forks", [
-        ("two CPUs", 1), ("at the threshold", 1),
+        ("two CPUs", 1), ("at the threshold", 1), ("three CPUs, the second fork fails", 2),
         ("second thread", 0), ("one CPU", 0), ("below the threshold", 0),
     ])
     def test_when_the_scan_forks(self, case, forks):
-        # os.fork raises here, so a scan that tries to split scans every run itself
+        # os.fork raises here (at three CPUs, the second time), so a scan
+        # that tries to split kills any child started and scans every run itself
         cum, cols, _ = TestBestPerInterval.run_case("mixed widths")
         cells = int((cols[3] - cols[2] + 1).sum())
         want_b, want_stat = _best_per_interval(cum, *cols)
         fork_cells = {"at the threshold": cells // 2, "below the threshold": cells // 2 + 1}
+        cpus = {"one CPU": 1, "three CPUs, the second fork fails": 3}.get(case, 2)
         with (second_thread() if case == "second thread" else contextlib.nullcontext(),
-              split_scan(1 if case == "one CPU" else 2, fork_cells.get(case, 1),
-                         OSError("fork failed")) as fork):
+              split_scan(cpus, fork_cells.get(case, 1),
+                         [mock.DEFAULT, OSError("fork failed")] if cpus == 3
+                         else OSError("fork failed")) as fork):
             best_b, best_stat = _best_per_interval(cum, *cols)
         assert fork.call_count == forks
+        assert_no_child()
         assert best_b.tobytes() == want_b.tobytes()
         assert best_stat.tobytes() == want_stat.tobytes()
 
@@ -318,7 +322,8 @@ class TestSplitScan:
         cum, cols, _ = TestBestPerInterval.run_case("wide rows")
         with (mock.patch.object(stepscan.wbs, "_RUN_ROWS", 1),
               split_scan(3) as fork, failing_sqrt("child")):
-            with pytest.raises(ChildProcessError, match="2 of 2 WBS scan processes failed"):
+            with pytest.raises(ChildProcessError, match="^2 of 2 WBS scan processes failed:"
+                               " RuntimeError: a child's share failed$"):
                 _best_per_interval(cum, *cols)
         assert fork.call_count == 2
         assert_no_child()
@@ -338,7 +343,8 @@ class TestSplitScan:
         with split_scan(2), failing_sqrt("child"):
             code = main(["segment", "--method", "wbs", str(FIXTURES / "nile.csv")])
         assert code == 1
-        assert capsys.readouterr().err == "stepscan: 1 of 1 WBS scan processes failed\n"
+        assert capsys.readouterr().err == ("stepscan: 1 of 1 WBS scan processes failed:"
+                                           " RuntimeError: a child's share failed\n")
         assert_no_child()
 
 

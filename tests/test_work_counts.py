@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import FIXTURES, REPO
+from conftest import FIXTURES, REPO, one_process
 
 import stepscan as ss
 import stepscan.dating as dating
@@ -41,6 +41,7 @@ def six_steps(n, offset=0.0, **kw):
     (annual(np.round(0.4 * np.random.default_rng(0).standard_normal(2000) + 10)), 267_072),
 ], ids=["constant", "noiseless six steps", "six regimes at +1e6", "random walk", "rounded noise"])
 def test_dp_span_rss_values(monkeypatch, s, span_rss_values):
+    one_dp_process(monkeypatch)
     # n = 2000, min_len 100, layers up to 9. Layers 2..8 sweep their
     # starts above 100; layer 9 and every layer's start 1 come from one
     # row of 1,901 values. Each block of nb starts builds a full
@@ -64,6 +65,11 @@ def test_dp_span_rss_values(monkeypatch, s, span_rss_values):
     assert count == span_rss_values
 
 
+def one_dp_process(monkeypatch):
+    """A split sweep would step some layers out of the counters' sight."""
+    one_process(monkeypatch, dating, "_FORK_STARTS")
+
+
 def counting_plans(monkeypatch):
     """A list that gains one entry per dating._Plan.build call."""
     calls = []
@@ -85,6 +91,7 @@ def test_dp_oil_reads_rectangles_and_never_prunes(monkeypatch, wti_log_real):
     # rectangles hold 2 * 4,560 + 1,035 = 10,155 cells below their
     # diagonals: 29,551 + 10,155; with no pruning layer, no pruning plan
     # is built
+    one_dp_process(monkeypatch)
     cells, pruned = 0, 0
     inner, prune = dating._span_rss, dating._prune
     plans = counting_plans(monkeypatch)
@@ -107,12 +114,13 @@ def test_dp_oil_reads_rectangles_and_never_prunes(monkeypatch, wti_log_real):
     assert (cells, pruned, len(plans)) == (39_706, 0, 0)
 
 
-def test_dp_short_sweep_peak():
+def test_dp_short_sweep_peak(monkeypatch):
     # layer 2 has 7 * 96 = 672 starts, so no layer prunes; it sweeps the
     # 662 above 10, and the lowest block builds the widest rectangle, 86
     # starts by 662 candidates (its 86 new ones and the 576 after them);
     # with _span_rss's temporaries the sweep holds under 6 arrays of
     # 96 by 672 beyond the cost table
+    one_dp_process(monkeypatch)
     tri = ss.build_rss_triangle(annual(np.random.default_rng(0).standard_normal(691)), 10)
     tri.series.cumulants
     tracemalloc.start()
@@ -140,6 +148,7 @@ def test_dp_peak_live_set(monkeypatch, s, layer_peaks):
     # 2..8 carries after a block (the top layer, 9, is never stepped; the
     # constant and +1e6 inputs reach theirs through the stop rule: every
     # start but the lowest block's, 1,701 - 69 = 1,632 on layer 2)
+    one_dp_process(monkeypatch)
     peaks = {}
     inner = dating._Layer.step
 
