@@ -3,8 +3,8 @@
 Subcommands: test (fluctuation tests), segment (dating), compare
 (several dating methods side by side), synth (benchmark signals).
 Reports are JSON documents on stdout or --out; --plot writes plot-ready
-CSV. Exit codes: 0 success, 1 data error, 2 usage error. Formats are
-documented in docs/formats.md.
+CSV. Exit codes: 0 success, 1 data error, 2 usage error, 130 interrupted
+(SIGINT). Formats are documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -406,6 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, ValueError, OSError) as exc:
         print(f"stepscan: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # 130 = 128 + SIGINT, as shells report a run it ended
+        print("stepscan: interrupted", file=sys.stderr)
+        return 130
     print(f"stepscan: completed in {(time.perf_counter() - started) * 1e3:.1f} ms",
           file=sys.stderr)
     return 0

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import (_EPS, Segmentation, TimeSeries, _check_budget, _fork_shares, _processes,
-                     _span_rss, segmentation_from_breaks)
+from .series import (_EPS, Segmentation, TimeSeries, _check_budget, _fork_shares,
+                     _leave_if_orphaned, _processes, _span_rss, _take, segmentation_from_breaks)
 
 __all__ = [
     "RssTriangle",
@@ -197,11 +197,11 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     have starts there or not. So layer j reads D[j - 1] only in blocks
     that layer j - 1 has finished, and every cell is the same expression
     of the same values as in one process: D is bit-identical. A reader
-    polls without blocking and yields its CPU between polls: a blocking
-    read ran the two processes one after the other, the woken reader
-    most likely placed on its writer's CPU. A reader that finds EOF (its
+    polls without blocking and yields its CPU between polls (series._take,
+    which says why). A reader that finds EOF (its
     writer died) raises; a writer whose reader is gone stops, and the
-    reap reports the failure. If a fork fails, one process sweeps it all.
+    reap reports the failure. A child whose parent is gone exits before
+    its next block. If a fork fails, one process sweeps it all.
     After the reap the parent fills the D[j, 1] row.
     """
     s, n, h = tri.series, tri.n, tri.min_len
@@ -209,6 +209,7 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
     procs = max(1, min(_processes(sum(starts), _FORK_STARTS), len(starts)))
     pipes = [os.pipe() for _ in range(procs - 1)]  # process p writes to p + 1 through pipe p
     fds = [fd for pipe in pipes for fd in pipe]
+    parent = os.getpid()
 
     def sweep(p: int, procs: int, buf) -> None:  # process p steps layers lo..hi - 1
         read = pipes[p - 1][0] if p else None
@@ -232,8 +233,9 @@ def _suffix_costs(tri: RssTriangle, jmax: int) -> np.ndarray:
         a_hi = n - 2 * h + 1 if starts else h
         while a_hi > h:
             a_lo = max(h + 1, a_hi - _BLOCK_STARTS + 1)
+            _leave_if_orphaned(p, parent)
             if read is not None:
-                _take_byte(read)
+                _take(read)
             if layers and a_lo <= n - lo * h + 1:
                 blk = _Block(s, h, a_lo, a_hi, plan, last)
                 for j, layer in enumerate(layers, start=lo):
@@ -278,17 +280,6 @@ def _layer_cuts(starts: list[int], procs: int) -> list[int]:
         c = 1 + int(np.abs(cum - p * cum[-1] / procs).argmin())
         cuts.append(min(max(c, cuts[-1] + 1), len(starts) - procs + p))
     return cuts + [len(starts)]
-
-
-def _take_byte(fd: int) -> None:
-    """Read one byte from fd, yielding the CPU between polls; EOFError if its writer ended."""
-    while True:
-        try:
-            if os.read(fd, 1):
-                return
-            raise EOFError("the process stepping the lower layers ended before the sweep did")
-        except BlockingIOError:
-            os.sched_yield()
 
 
 @dataclass(frozen=True)

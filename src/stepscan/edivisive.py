@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import functools
 import os
+import struct
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 from .series import (_EPS, DataError, Segmentation, TimeSeries, _fork_shares, _leave_if_orphaned,
-                     _processes, segmentation_from_breaks)
+                     _processes, _take, segmentation_from_breaks)
 
 # Rows of the distance triangle summed per block at alpha other than 1 and 2.
 _BLOCK_ROWS = 128
@@ -25,9 +27,11 @@ _BLOCK_ROWS = 128
 _BLOCK_POS = 24
 # Values held by one batch of permutation replicates (rows * n).
 _BATCH_CELLS = 1 << 14
-# Work per process of a split permutation test, in pairs (R * n^2 below
+# Work per process of a run's replicate workers, in pairs (R * n^2 below
 # alpha = 2, R * n at it); a fork and reap cost about 2.4 M rank-kernel pairs.
 _FORK_PAIRS = 1 << 23
+# A test's command to a replicate worker: segment length, seed key, tie threshold.
+_COMMAND = struct.Struct("qQd")
 
 # NumPy's SeedSequence hash and PCG64 seeding constants (bit_generator.pyx,
 # pcg64.h); the replicate streams test pins them to default_rng.
@@ -280,8 +284,8 @@ def _permutations(gen: np.random.Generator, n: int, seed: int, key: int,
     return perms
 
 
-def permutation_test(values: np.ndarray, b: int, cfg: EdivConfig,
-                     seed_key: int = 0) -> float:
+def permutation_test(values: np.ndarray, b: int, cfg: EdivConfig, seed_key: int = 0, *,
+                     workers: Callable[[np.ndarray, int, float], int] | None = None) -> float:
     """Add-one permutation p-value for the split of values at b.
 
     Each replicate shuffles the segment's values with a generator
@@ -291,42 +295,111 @@ def permutation_test(values: np.ndarray, b: int, cfg: EdivConfig,
     with T the segment's total pairwise distance, so it does not hinge
     on summation order: p = (1 + #{Q*_r >= Q_obs - n eps T}) / (R + 1).
 
-    On Linux with no other Python thread, a test of k * _FORK_PAIRS pairs
-    or more (R * n^2, or R * n at alpha = 2) splits its replicates into k
-    contiguous ranges, one per forked process and usable CPU at most (see
-    _fork_shares). A row does not depend on its batch and the hit counts
-    are integers, so p is bit-identical.
+    workers, the handle that e_divisive passes to every test of its run,
+    scores the replicates in the run's processes; without it the test
+    forks its own for itself alone, by the same rule (see _with_workers).
     """
     v = np.asarray(values, dtype=float)
     if v.size < 2 * cfg.min_size:
         raise DataError(f"segment of {v.size} observations admits no split")
+    if not 0 <= seed_key < 1 << 64:  # sent to the workers as one uint64
+        raise ValueError(f"seed_key must be in [0, 2**64), got {seed_key}")
     bs, q, total = _split_divergences(v, cfg.alpha, cfg.min_size)
     where = np.flatnonzero(bs == b)
     if where.size == 0:
         raise ValueError(f"split {b} violates min_size {cfg.min_size}")
     q_tie = float(q[where[0]]) - v.size * _EPS * total
+    hits = (workers(v, seed_key, q_tie) if workers is not None
+            else _with_workers(v.size, cfg, lambda own: own(v, seed_key, q_tie)))
+    return (1 + hits) / (cfg.num_permutations + 1)
+
+
+def _with_workers(n: int, cfg: EdivConfig, job: Callable[[Callable], Any]) -> Any:
+    """job(hits), run as share 0 of one _fork_shares call whose processes score
+    the replicates of every test job makes on n values or fewer.
+
+    hits(v, seed_key, q_tie) counts the replicates of a test of v whose
+    largest Q is q_tie or more. On Linux with no other Python thread, the
+    run takes k = min(usable CPUs, R * min(n^2, _FORK_PAIRS) // _FORK_PAIRS)
+    processes (R * n at alpha = 2; series._processes), decided once for
+    the run; job and its tests never fork again. For each test, share 0
+    copies v into the shared mapping and sends (len(v), seed_key, q_tie)
+    down one command pipe per child. Process p scores replicates
+    [p R / k, (p + 1) R / k) in batches of _BATCH_CELLS values, as one
+    process does, leaves its hit count in its int64 slot and writes one
+    byte to its done pipe, on which share 0 blocks. A child waits for its
+    next command yield-polling (series._take), and returns at EOF: after
+    the run, when share 0 closes the command pipes, or once its parent is
+    gone. A row does not depend on its batch and the hits are integers,
+    so every p-value is bit-identical to the one-process test's. If share
+    0 finds a child gone, it returns, and the reap raises
+    ChildProcessError with the child's note.
+    """
     reps = cfg.num_permutations
-    step = max(1, _BATCH_CELLS // v.size)
+    # pairs, counting at most _FORK_PAIRS per replicate so that no process gets none
+    work = reps * min(_FORK_PAIRS, n * (1 if cfg.alpha == 2.0 else n))
+    procs = _processes(work, _FORK_PAIRS)
+    pipes = [(os.pipe(), os.pipe()) for _ in range(procs - 1)]  # child p's command and done pipe
+    fds = [fd for pair in pipes for pipe in pair for fd in pipe]
+    parent, out = os.getpid(), []
     gen = np.random.Generator(np.random.PCG64(0))  # reseeded per replicate
 
-    parent = os.getpid()
-
-    def count(share: int, procs: int, slots) -> None:  # one contiguous range of replicates
-        hits = 0
-        stop = (share + 1) * reps // procs
-        for first in range(share * reps // procs, stop, step):
-            _leave_if_orphaned(share, parent)
-            perms = _permutations(gen, v.size, cfg.seed, seed_key, first,
-                                  min(first + step, stop))
+    def count(p: int, procs: int, v: np.ndarray, seed_key: int, q_tie: float) -> int:
+        hits, step = 0, max(1, _BATCH_CELLS // v.size)
+        stop = (p + 1) * reps // procs
+        for first in range(p * reps // procs, stop, step):
+            _leave_if_orphaned(p, parent)
+            perms = _permutations(gen, v.size, cfg.seed, seed_key, first, min(first + step, stop))
             _, q_perm, _ = _split_divergences(v, cfg.alpha, cfg.min_size, perms)
             hits += int(np.count_nonzero(q_perm.max(axis=1) >= q_tie))
-        np.frombuffer(slots, np.int64)[share] = hits
+        return hits
 
-    # pairs, counting at most _FORK_PAIRS per replicate so that no process gets none
-    work = reps * min(_FORK_PAIRS, v.size * (1 if cfg.alpha == 2.0 else v.size))
-    slots = _fork_shares(count, _processes(work, _FORK_PAIRS), lambda k: 8 * k,
-                         "e-divisive permutation test")
-    return (1 + int(np.frombuffer(slots, np.int64).sum())) / (reps + 1)
+    def share(p: int, procs: int, buf) -> None:
+        # a child keeps its command pipe's read end and its done pipe's write end,
+        # share 0 the other ends of every child's
+        ends = ([pipes[p - 1][0][0], pipes[p - 1][1][1]] if p else
+                [fd for cmd, done in pipes[: procs - 1] for fd in (cmd[1], done[0])])
+        for fd in [fd for fd in fds if fd not in ends]:
+            os.close(fd)
+            fds.remove(fd)
+        slots, shared = np.frombuffer(buf, np.int64, procs), np.frombuffer(buf, float, n, 8 * procs)
+        if p:
+            cmd, done = ends
+            os.set_blocking(cmd, False)
+            while True:
+                try:
+                    size, seed_key, q_tie = _COMMAND.unpack(_take(cmd, _COMMAND.size))
+                except EOFError:  # the run is over
+                    return
+                slots[p] = count(p, procs, shared[:size], seed_key, q_tie)
+                os.write(done, b"\0")
+
+        def hits(v: np.ndarray, seed_key: int, q_tie: float) -> int:
+            if procs > 1:
+                shared[: v.size] = v
+                for fd in ends[0::2]:
+                    os.write(fd, _COMMAND.pack(v.size, seed_key, q_tie))
+            own = count(0, procs, v, seed_key, q_tie)
+            for fd in ends[1::2]:
+                if not os.read(fd, 1):
+                    raise EOFError
+            return own + int(slots[1:].sum())
+
+        try:
+            out.append(job(hits))
+        except (EOFError, BrokenPipeError):  # a child is gone, and the reap says why
+            pass
+        finally:
+            for fd in ends[0::2]:
+                os.close(fd)
+                fds.remove(fd)
+
+    try:
+        _fork_shares(share, procs, lambda k: 8 * (k + n), "e-divisive permutation test")
+    finally:
+        for fd in fds:
+            os.close(fd)
+    return out[0]
 
 
 def e_divisive(s: TimeSeries, cfg: EdivConfig = EdivConfig()) -> Segmentation:
@@ -337,8 +410,10 @@ def e_divisive(s: TimeSeries, cfg: EdivConfig = EdivConfig()) -> Segmentation:
     permutation conditional on the breaks accepted so far, and accepts
     it while p <= sig_level. Stops at the first insignificant candidate,
     at max_breaks, or when nothing is splittable. The criterion trace
-    records (break, p-value) pairs in time order. A test of a long
-    segment forks, as permutation_test says; the breaks do not change.
+    records (break, p-value) pairs in time order. The whole selection
+    runs in the caller, as share 0 of _with_workers for the full series:
+    a long series forks its replicate workers once, and every test of the
+    run splits over them; the breaks and p-values do not change.
     """
     v = s.values
     if s.n < 2 * cfg.min_size:
@@ -351,23 +426,26 @@ def e_divisive(s: TimeSeries, cfg: EdivConfig = EdivConfig()) -> Segmentation:
         b_rel, q = res
         return q, lo, hi, lo - 1 + b_rel
 
-    candidates = [candidate(1, s.n)]  # n >= 2 min_size: the full span splits
-    accepted: list[tuple[int, float]] = []
-    while candidates:
-        if cfg.max_breaks is not None and len(accepted) >= cfg.max_breaks:
-            break
-        q, lo, hi, b = max(candidates, key=lambda c: (c[0], -c[1]))
-        # every earlier test was accepted, so this is test number len(accepted)
-        p = permutation_test(v[lo - 1 : hi], b - lo + 1, cfg, seed_key=len(accepted))
-        if p > cfg.sig_level:
-            break
-        accepted.append((b, p))
-        candidates.remove((q, lo, hi, b))
-        for part in ((lo, b), (b + 1, hi)):
-            c = candidate(*part)
-            if c is not None:
-                candidates.append(c)
+    def select(workers) -> list[tuple[int, float]]:
+        candidates = [candidate(1, s.n)]  # n >= 2 min_size: the full span splits
+        accepted: list[tuple[int, float]] = []
+        while candidates:
+            if cfg.max_breaks is not None and len(accepted) >= cfg.max_breaks:
+                break
+            q, lo, hi, b = max(candidates, key=lambda c: (c[0], -c[1]))
+            # every earlier test was accepted, so this is test number len(accepted)
+            p = permutation_test(v[lo - 1 : hi], b - lo + 1, cfg, seed_key=len(accepted),
+                                 workers=workers)
+            if p > cfg.sig_level:
+                break
+            accepted.append((b, p))
+            candidates.remove((q, lo, hi, b))
+            for part in ((lo, b), (b + 1, hi)):
+                c = candidate(*part)
+                if c is not None:
+                    candidates.append(c)
+        return sorted(accepted)
 
-    accepted.sort()
+    accepted = _with_workers(s.n, cfg, select)
     return segmentation_from_breaks(s, [b for b, _ in accepted], min_len=cfg.min_size,
                                     trace=accepted)

@@ -143,6 +143,26 @@ def _leave_if_orphaned(share: int, parent: int) -> None:
         os._exit(1)
 
 
+def _take(fd: int, size: int = 1) -> bytes:
+    """Read size bytes from non-blocking fd, yielding the CPU between polls.
+
+    The one wait of a forked share on another process: a blocking read ran
+    the two one after the other, the woken reader most likely placed on its
+    writer's CPU. EOFError if every writer ended first.
+    """
+    got = b""
+    while len(got) < size:
+        try:
+            part = os.read(fd, size - len(got))
+        except BlockingIOError:
+            os.sched_yield()
+            continue
+        if not part:
+            raise EOFError("the process writing to this one ended first")
+        got += part
+    return got
+
+
 _VALID_FREQS = (1, 4, 12)
 
 

@@ -86,8 +86,11 @@ _INTERVAL_BYTES = 72
 # Ufunc buffer during the scan (numpy's default is 8192 elements): numpy
 # reads a per-row column in place only when a row is at least this long.
 _UFUNC_BUFFER = 1024
-# Cells per process of a split scan; a fork and reap cost as much as 0.3 M cells.
-_FORK_CELLS = 1 << 21
+# Cells per process of a split scan. A bare fork and reap took 2.2 ms, 0.26 M
+# cells at the one-process scan's 120 M cells/s (2-CPU host, 47 MB process),
+# so wbs-long's 3.39 M-cell n = 2000 scan splits too; Nile's (166,355) and
+# every rescan (under 10,000 cells in wbs-long) do not.
+_FORK_CELLS = 1 << 20
 
 
 def _best_per_interval(cum: np.ndarray, starts: np.ndarray, ends: np.ndarray,

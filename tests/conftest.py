@@ -4,6 +4,7 @@ import contextlib
 import itertools
 import os
 import pathlib
+import signal
 import threading
 from unittest import mock
 
@@ -93,6 +94,36 @@ def one_process(monkeypatch, module, constant):
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError, rather than hang, if the block runs longer;
+    the processes it forked are then killed and reaped."""
+    def expire(signum, frame):
+        with open(f"/proc/self/task/{os.getpid()}/children") as f:
+            children = [int(pid) for pid in f.read().split()]
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def running(pid):
+    """Whether process pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 @contextlib.contextmanager

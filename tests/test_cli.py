@@ -6,15 +6,17 @@ import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, REPO
+from conftest import FIXTURES, REPO, running
 
 import stepscan as ss
 import stepscan.cli
@@ -508,6 +510,35 @@ class TestProcessLevelContract:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("stepscan" if "--version" in argv else "usage:")
+
+    def test_ctrl_c_exits_130_with_one_line_and_no_child(self, tmp_path):
+        # SIGINT to the run's process group, as Ctrl-C sends it, once the run has
+        # taken 1 s of CPU, deep in its first permutation test (about 10 s long).
+        # On k usable CPUs the run has forked k - 1 replicate workers by then.
+        path = write_monthly_csv(tmp_path, 600)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stepscan.cli", "segment", "--method", "edivisive",
+             "--permutations", "99999", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=str(REPO),
+            start_new_session=True)
+        try:
+            started, cpu = time.monotonic(), 0.0
+            while cpu < 1.0 and time.monotonic() - started < 30:
+                time.sleep(0.05)
+                with open(f"/proc/{proc.pid}/stat") as f:
+                    ticks = f.read().rpartition(")")[2].split()[11:13]  # utime, stime
+                cpu = sum(map(int, ticks)) / os.sysconf("SC_CLK_TCK")
+            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as f:
+                children = [int(pid) for pid in f.read().split()]
+            assert len(children) == len(os.sched_getaffinity(0)) - 1
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        assert proc.returncode == 130
+        assert (out, err) == ("", "stepscan: interrupted\n")
+        assert not any(running(pid) for pid in children)
 
     def test_oversized_csv_field_exits_1_with_one_line(self, tmp_path):
         path = tmp_path / "big.csv"

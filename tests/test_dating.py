@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import contextlib
 import functools
 import importlib
 import os
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (FIXTURES, REPO, assert_no_child, awkward_values, brute_force_breaks,
-                      one_process, split_work)
+                      deadline, one_process, split_work)
 
 import stepscan as ss
 import stepscan.dating as dating
@@ -444,27 +443,6 @@ def test_06_exhaustive_search_holds_split(cpus):
         importlib.import_module("test_acceptance").test_06_dp_matches_exhaustive_search()
     assert fork.call_count > 0
     assert_no_child()
-
-
-@contextlib.contextmanager
-def deadline(seconds):
-    """Fail with TimeoutError, rather than hang, if the block runs longer;
-    the processes it forked are then killed and reaped."""
-    def expire(signum, frame):
-        with open(f"/proc/self/task/{os.getpid()}/children") as f:
-            children = [int(pid) for pid in f.read().split()]
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 def failing_layer(layer, how, after=3):

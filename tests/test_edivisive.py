@@ -16,8 +16,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (FIXTURES, REPO, assert_no_child, awkward_values, second_thread,
-                      split_work)
+from conftest import (FIXTURES, REPO, assert_no_child, awkward_values, deadline,
+                      second_thread, split_work)
 
 import stepscan as ss
 import stepscan.edivisive
@@ -282,9 +282,9 @@ class TestEDivisive:
         sig, breaks = ss.make_step_signal([0, 3, 0, 3], [15, 15, 15, 15], sigma=0.0)
         keys = []
 
-        def recording(values, b, cfg, seed_key=0):
+        def recording(values, b, cfg, seed_key=0, *, workers=None):
             keys.append(seed_key)
-            return permutation_test(values, b, cfg, seed_key=seed_key)
+            return permutation_test(values, b, cfg, seed_key=seed_key, workers=workers)
 
         with mock.patch.object(stepscan.edivisive, "permutation_test", recording):
             seg = ss.e_divisive(sig, ss.EdivConfig(min_size=5, alpha=2.0))
@@ -390,8 +390,9 @@ def reference_best_split(values, cfg):
     return int(bs[k]), float(q[k])
 
 
-def reference_permutation_test(values, b, cfg, seed_key=0):
-    """permutation_test one replicate at a time on the prefix matrix, same tie rule."""
+def reference_permutation_test(values, b, cfg, seed_key=0, *, workers=None):
+    """permutation_test one replicate at a time on the prefix matrix, same tie rule,
+    all in this process (e_divisive's workers handle goes unused)."""
     v = np.asarray(values, dtype=float)
     bs, q, total = prefix_matrix_split_divergences(v, cfg.alpha, cfg.min_size)
     q_tie = float(q[bs == b][0]) - v.size * EPS * total
@@ -597,24 +598,25 @@ def one_process():
         yield
 
 
-def failing_batches(where):
-    """_split_divergences that raises on a replicate batch in the "parent" or in every child.
+def failing_batches(where, test=0):
+    """_permutations that raises on a replicate batch of the test with seed key
+    `test` or later, in the "parent" or in every child.
 
     When the parent fails, each child sleeps 30 s before it fails too, so a
     child that is not killed shows in the time the call takes.
     """
     parent = os.getpid()
-    divergences = stepscan.edivisive._split_divergences
+    draw = stepscan.edivisive._permutations
 
-    def scoring(values, alpha, min_size, perms=None):
-        if perms is not None and os.getpid() != parent:
+    def drawing(gen, n, seed, seed_key, first, stop):
+        if seed_key >= test and os.getpid() != parent:
             time.sleep(30 if where == "parent" else 0)
             raise RuntimeError("a child's share failed")
-        if perms is not None and where == "parent":
+        if seed_key >= test and where == "parent":
             raise RuntimeError("the parent's share failed")
-        return divergences(values, alpha, min_size, perms)
+        return draw(gen, n, seed, seed_key, first, stop)
 
-    return mock.patch.object(stepscan.edivisive, "_split_divergences", scoring)
+    return mock.patch.object(stepscan.edivisive, "_permutations", drawing)
 
 
 @pytest.fixture(scope="module")
@@ -707,14 +709,112 @@ class TestSplitPermutationTest:
         assert_no_child()
 
     def test_benchmark_job_splits_at_two_cpus_with_the_same_breaks(self, ediv_energy_jobs):
-        # the ediv-energy n = 400 job at the production threshold: the tests
-        # of its 400- and 300-long segments (31.8 M and 17.9 M pairs) split
-        # in two, the one of its 200-long segment (8.0 M) does not
+        # the ediv-energy n = 400 job at the production threshold: the run's
+        # 400 values (31.8 M pairs) fork one worker, over which every test
+        # splits, the one of its 200-long segment (8.0 M) too
         job = ediv_energy_jobs["ediv-400"]
         with one_process():
             want = job.run()
         with split_test(2, stepscan.edivisive._FORK_PAIRS) as fork:
             got = job.run()
-        assert fork.call_count == 2
+        assert fork.call_count == 1
         assert_no_child()
         assert (got.breaks, got.criterion_trace) == (want.breaks, want.criterion_trace)
+
+
+def six_steps():
+    """Six noiseless-looking regimes of 20: five breaks, six tests at min_size 5."""
+    return ss.make_step_signal([0, 3, 0, 3, 0, 3], [20] * 6, sigma=0.1, seed=2)
+
+
+class TestSplitRun:
+    """An e_divisive run forks its replicate workers once, and every test splits over them."""
+
+    cfg = ss.EdivConfig(min_size=5, alpha=1.0, num_permutations=29)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_split_run_equals_one_process_and_the_reference(self, data):
+        n = data.draw(st.integers(20, 90))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        v = data.draw(st.one_of(awkward_values(n), bumpy_values(n), st.just(
+            np.repeat(rng.normal(0, 3, 4), n // 4 + 1)[:n] + rng.normal(size=n))))
+        series = ss.TimeSeries(v, ss.PeriodIndex(1900))
+        cfg = ss.EdivConfig(min_size=data.draw(st.integers(2, n // 4)),
+                            alpha=data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])),
+                            num_permutations=data.draw(st.sampled_from([2, 5, 19])),
+                            seed=data.draw(st.integers(0, 3)),
+                            sig_level=data.draw(st.sampled_from([0.1, 0.5])))
+        cpus = data.draw(st.sampled_from([2, 3]))
+        with one_process():
+            want = ss.e_divisive(series, cfg)
+        with deadline(60), split_test(cpus) as fork:
+            got = ss.e_divisive(series, cfg)
+        assert fork.call_count == min(cpus, cfg.num_permutations) - 1
+        assert_no_child()
+        assert (got.breaks, got.criterion_trace) == (want.breaks, want.criterion_trace)
+        if cfg.alpha != 2.0:
+            with (mock.patch.object(stepscan.edivisive, "best_split", reference_best_split),
+                  mock.patch.object(stepscan.edivisive, "permutation_test",
+                                    reference_permutation_test)):
+                ref = ss.e_divisive(series, cfg)
+            assert (got.breaks, got.criterion_trace) == (ref.breaks, ref.criterion_trace)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_run_forks_once_for_all_its_tests(self, cpus):
+        sig, breaks = six_steps()
+        keys = []
+
+        def counting(values, b, cfg, seed_key=0, *, workers=None):
+            keys.append(seed_key)
+            return permutation_test(values, b, cfg, seed_key=seed_key, workers=workers)
+
+        with (deadline(60), split_test(cpus) as fork,
+              mock.patch.object(stepscan.edivisive, "permutation_test", counting)):
+            seg = ss.e_divisive(sig, self.cfg)
+        assert fork.call_count == cpus - 1
+        assert_no_child()
+        assert seg.breaks == breaks
+        assert keys == [0, 1, 2, 3, 4, 5]  # five accepted, then the one that stops the run
+
+    def test_a_child_failing_in_a_later_test_raises(self):
+        with deadline(60), split_test(3) as fork, failing_batches("child", test=2):
+            with pytest.raises(ChildProcessError,
+                               match="^2 of 2 e-divisive permutation test processes failed:"
+                                     " RuntimeError: a child's share failed$"):
+                ss.e_divisive(six_steps()[0], self.cfg)
+        assert fork.call_count == 2
+        assert_no_child()
+
+    def test_a_parent_failing_in_a_later_test_kills_its_children(self):
+        started = time.monotonic()
+        with deadline(60), split_test(3) as fork, failing_batches("parent", test=2):
+            with pytest.raises(RuntimeError, match="^the parent's share failed$"):
+                ss.e_divisive(six_steps()[0], self.cfg)
+        assert fork.call_count == 2
+        assert time.monotonic() - started < 15  # the children were killed, not awaited
+        assert_no_child()
+
+    def test_cli_exits_1_when_a_child_fails_in_a_later_test(self, capsys):
+        # Nile's second test, the one that finds no break after 1898
+        with deadline(60), split_test(2), failing_batches("child", test=1):
+            code = main(["segment", "--method", "edivisive", str(FIXTURES / "nile.csv")])
+        assert code == 1
+        assert (capsys.readouterr().err
+                == "stepscan: 1 of 1 e-divisive permutation test processes failed:"
+                   " RuntimeError: a child's share failed\n")
+        assert_no_child()
+
+    @pytest.mark.parametrize("cpus,forks", [(2, 1), (3, 2)])
+    def test_a_failed_fork_runs_the_whole_run_in_one_process(self, cpus, forks):
+        # at three CPUs the second fork fails, and the first child is killed
+        sig, breaks = six_steps()
+        with one_process():
+            want = ss.e_divisive(sig, self.cfg)
+        with deadline(60), split_test(cpus, 1, [mock.DEFAULT, OSError("fork failed")] if cpus == 3
+                                      else OSError("fork failed")) as fork:
+            got = ss.e_divisive(sig, self.cfg)
+        assert fork.call_count == forks
+        assert_no_child()
+        assert got.breaks == breaks
+        assert got.criterion_trace == want.criterion_trace

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import REPO, assert_no_child
+from conftest import REPO, assert_no_child, running
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -270,13 +270,15 @@ def run_shares(share, procs):
     return _fork_shares(share, procs, lambda k: 8 * k, "test")
 
 
-# Runs a split WBS scan or e-divisive permutation test over 2 mocked CPUs
-# whose child takes BATCH_S per run or batch and prints the child's pid.
+# Runs a split WBS scan, e-divisive permutation test or DP sweep over 2
+# mocked CPUs whose child takes BATCH_S per run, batch or block, and prints
+# the child's pid. "edivisive-run" is an e-divisive run whose parent stalls
+# after its first test, while its child waits for the next.
 ORPHAN_SCRIPT = """
 import os, sys, time
 from unittest import mock
 import numpy as np
-import stepscan as ss, stepscan.edivisive, stepscan.wbs
+import stepscan as ss, stepscan.dating, stepscan.edivisive, stepscan.wbs
 
 method, batch_s = sys.argv[1], float(sys.argv[2])
 parent, fork = os.getpid(), os.fork
@@ -308,6 +310,26 @@ with (mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}),
               mock.patch.object(stepscan.wbs, "_RUN_ROWS", 1),
               mock.patch.object(stepscan.wbs, "np", SlowSqrt())):
             stepscan.wbs._best_per_interval(cum, starts, starts + 199, starts, starts + 198)
+    elif method == "dp":  # 2000 values, h = 100: the child steps layers 5-8 through 89 blocks
+        v = np.repeat([0.0, 3.0, 1.0], [700, 600, 700]) + np.random.default_rng(0).normal(size=2000)
+        with (mock.patch.object(stepscan.dating, "_FORK_STARTS", 1),
+              mock.patch.object(stepscan.dating, "_BLOCK_STARTS", 16),
+              mock.patch.object(stepscan.dating._Block, "__init__",
+                                slow(stepscan.dating._Block.__init__))):
+            ss.select_breaks_bic(ss.build_rss_triangle(ss.TimeSeries(v, ss.PeriodIndex(1)), 100), 8)
+    elif method == "edivisive-run":
+        best, calls = stepscan.edivisive.best_split, []
+
+        def stalling(*args):
+            calls.append(args)
+            if len(calls) > 1:  # the first test is over
+                time.sleep(30)
+            return best(*args)
+
+        sig, _ = ss.make_step_signal([0, 3, 0], [20, 20, 20], sigma=0.1, seed=1)
+        with (mock.patch.object(stepscan.edivisive, "_FORK_PAIRS", 1),
+              mock.patch.object(stepscan.edivisive, "best_split", stalling)):
+            ss.e_divisive(sig, ss.EdivConfig(min_size=5))
     else:
         with (mock.patch.object(stepscan.edivisive, "_FORK_PAIRS", 1),
               mock.patch.object(stepscan.edivisive, "_BATCH_CELLS", 40),
@@ -318,13 +340,28 @@ with (mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}),
 """
 
 
-def running(pid):
-    """Whether process pid exists and is not a zombie."""
+def kill_and_time(method, batch_s, wait_s):
+    """Seconds that the child of ORPHAN_SCRIPT outlives its parent, SIGKILLed
+    wait_s after the fork (10 if the child lives on)."""
+    proc = subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT, method, str(batch_s)],
+                            stdout=subprocess.PIPE, text=True, cwd=str(REPO))
+    child = None
     try:
-        with open(f"/proc/{pid}/stat") as f:
-            return f.read().rpartition(")")[2].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
+        child = int(proc.stdout.readline())
+        time.sleep(wait_s)
+        assert running(child)
+        proc.kill()
+        proc.wait(timeout=10)
+        killed = time.monotonic()
+        while running(child) and time.monotonic() - killed < 10:
+            time.sleep(0.01)
+        return time.monotonic() - killed
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+        if child and running(child):
+            os.kill(child, signal.SIGKILL)
 
 
 class TestForkShares:
@@ -377,26 +414,13 @@ class TestForkShares:
         assert np.frombuffer(buf, np.int64).tolist() == [7]
         assert_no_child()
 
-    @pytest.mark.parametrize("method", ["wbs", "edivisive"])
+    @pytest.mark.parametrize("method", ["wbs", "edivisive", "dp"])
     def test_a_child_outlives_its_killed_parent_by_one_batch_at_most(self, method):
-        # unchecked, the child would compute its 100 batches for 20 s more
-        batch_s = 0.2
-        proc = subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT, method, str(batch_s)],
-                                stdout=subprocess.PIPE, text=True, cwd=str(REPO))
-        child = None
-        try:
-            child = int(proc.stdout.readline())
-            time.sleep(3 * batch_s)  # the child is mid-split
-            assert running(child)
-            proc.kill()
-            proc.wait(timeout=10)
-            killed = time.monotonic()
-            while running(child) and time.monotonic() - killed < 10:
-                time.sleep(0.01)
-            assert time.monotonic() - killed < batch_s + 1.0
-        finally:
-            proc.kill()
-            proc.wait(timeout=10)
-            proc.stdout.close()
-            if child and running(child):
-                os.kill(child, signal.SIGKILL)
+        # unchecked, the child would compute its 100 batches (89 DP blocks) for 20 s
+        # more; the DP parent has stepped all its blocks by then and waits in the reap
+        assert kill_and_time(method, 0.2, 0.6) < 0.2 + 1.0
+
+    def test_a_child_waiting_between_tests_ends_with_its_killed_parent(self):
+        # the parent stalls for 30 s after the run's first test; its death
+        # closes the child's command pipe
+        assert kill_and_time("edivisive-run", 0.0, 1.0) < 1.0
